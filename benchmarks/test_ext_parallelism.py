@@ -46,7 +46,7 @@ def test_parallelism_profiles(benchmark, results_dir):
 
     def run():
         for name, g in _inputs():
-            labels = tarjan_scc(g)
+            labels = tarjan_scc(g).labels
             deg = g.out_degree() + g.in_degree()
             pivot = int(np.argmax(deg))
             bfs = bfs_frontier_profile(g, pivot)

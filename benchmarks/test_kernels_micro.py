@@ -40,7 +40,7 @@ def test_relax_round(benchmark, medium_graph):
     sigs = Signatures.identity(medium_graph.num_vertices)
 
     def round_():
-        grouping.relax(sigs, compress=True)
+        grouping.relax_masked(sigs, None, medium_graph.num_vertices, compress=True)
 
     benchmark(round_)
 

@@ -15,6 +15,7 @@ import numpy as np
 from ..baselines.tarjan import tarjan_scc
 from ..errors import VerificationError
 from ..graph.csr import CSRGraph
+from ..results import coerce_labels
 
 __all__ = [
     "partitions_equal",
@@ -48,8 +49,7 @@ def verify_labels(graph: CSRGraph, labels: np.ndarray, *, oracle=None) -> None:
         raise VerificationError(
             f"labels has {labels.size} entries for {graph.num_vertices} vertices"
         )
-    # oracles return AlgoResult; coerce to the bare label array
-    truth = np.asarray((oracle or tarjan_scc)(graph))
+    truth = coerce_labels((oracle or tarjan_scc)(graph))
     if not partitions_equal(labels, truth):
         bad = int(np.count_nonzero(labels != truth))
         raise VerificationError(
@@ -119,7 +119,7 @@ def fixed_point_offenders(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
         class_graph = CSRGraph.from_edges(
             comp[src[inter]], comp[dst[inter]], uniq.size
         )
-        cond = np.asarray(tarjan_scc(class_graph))
+        cond = tarjan_scc(class_graph).labels
         sizes = np.bincount(cond, minlength=uniq.size)
         class_bad |= sizes[cond] > 1
 

@@ -74,7 +74,7 @@ def mesh_table_properties(kind: str, **suite_kwargs) -> ExperimentResult:
     suite = small_mesh_suite(**suite_kwargs) if kind == "small" else large_mesh_suite(**suite_kwargs)
     rows = []
     for grp in suite:
-        stats = [scc_statistics(g, tarjan_scc(g)) for g in grp.graphs]
+        stats = [scc_statistics(g, tarjan_scc(g).labels) for g in grp.graphs]
         rows.append(
             {
                 "graph": grp.name,
@@ -122,7 +122,7 @@ def powerlaw_table_properties(**suite_kwargs) -> ExperimentResult:
     rows = []
     graphs = []
     for g, planted in powerlaw_suite(**suite_kwargs):
-        s = scc_statistics(g, tarjan_scc(g))
+        s = scc_statistics(g, tarjan_scc(g).labels)
         graphs.append(g)
         rows.append({"graph": g.name, **s.as_row(), "planted": planted})
     headers = [

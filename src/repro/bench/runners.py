@@ -15,7 +15,7 @@ unpacking if-chain; pass ``tracer=`` to record the run's phase spans
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from ..analysis.verify import verify_labels
 from ..core.eclscc import ecl_scc
 from ..core.minmax import minmax_scc
-from ..core.options import EclOptions, engine_options
+from ..core.options import ALL_ON, EclOptions
 from ..baselines import (
     coloring_scc,
     fb_scc,
@@ -199,9 +199,8 @@ def run_algorithm(
     the run's engine primitives account against (default: the dense
     backend, which reproduces the historical launch costs; the oracles
     ignore it).  ``engine`` selects ECL-SCC's Phase-2 engine by name —
-    any entry of :data:`~repro.core.options.ENGINE_NAMES`, applied on
-    top of ``options`` via
-    :func:`~repro.core.options.engine_options`; only ``ecl-scc``
+    any entry of :data:`~repro.core.options.ENGINE_NAMES`, set as the
+    ``engine`` field of ``options`` (default ``ALL_ON``); only ``ecl-scc``
     has multiple Phase-2 engines, so passing it for any other algorithm
     raises :class:`~repro.errors.AlgorithmError`.  The ``adaptive``
     engine's per-round policy decisions are carried on the result as
@@ -223,7 +222,7 @@ def run_algorithm(
                 f"engine selection is only supported for 'ecl-scc', not"
                 f" {algorithm!r}"
             )
-        options = engine_options(engine, options)
+        options = replace(options or ALL_ON, engine=engine)
     res = _execute(algorithm, graph, device, options, tracer, backend, faults)
     sigs = _SIGNATURE_ARRAYS.get(algorithm, 1)
     estimate = res.device.estimate(

@@ -158,7 +158,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .baselines import tarjan_scc
 
     graph = _load_graph(args.graph, args.format)
-    stats = scc_statistics(graph, tarjan_scc(graph), with_depth=not args.no_depth)
+    stats = scc_statistics(graph, tarjan_scc(graph).labels, with_depth=not args.no_depth)
     for key, value in stats.as_row().items():
         print(f"{key:10s} {value}")
     return 0

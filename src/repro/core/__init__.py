@@ -13,14 +13,13 @@ from .options import (
     ENGINE_NAMES,
     EclOptions,
     ablation_variants,
-    engine_options,
 )
 from .signatures import Signatures
 from .propagation import (
     BlockPartition,
     EdgeGrouping,
+    propagate_adaptive,
     propagate_async,
-    propagate_frontier,
     propagate_sync,
 )
 from .worklist import DoubleBufferWorklist, VertexFrontier, phase3_filter
@@ -33,13 +32,12 @@ __all__ = [
     "ALL_ON",
     "EclOptions",
     "ablation_variants",
-    "engine_options",
     "ENGINE_NAMES",
     "Signatures",
     "BlockPartition",
     "EdgeGrouping",
+    "propagate_adaptive",
     "propagate_async",
-    "propagate_frontier",
     "propagate_sync",
     "DoubleBufferWorklist",
     "VertexFrontier",

@@ -17,6 +17,7 @@ other hardware; there is no un-instrumented mode.  Pass a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .propagation import (
     EdgeGrouping,
     propagate_adaptive,
     propagate_async,
-    propagate_frontier,
     propagate_sync,
 )
 from .signatures import Signatures
@@ -221,10 +221,10 @@ def ecl_scc(
     total_rounds = 0
     outer_bound = opts.outer_bound(n)
     engine = opts.phase2_engine
-    # the frontier and adaptive engines share the reuse driver shape:
-    # persistent worklist drain, partial Phase-1 re-init, cross-iteration
-    # invalidation seeding — adaptive additionally routes each in-kernel
-    # round through a scheduler-picked propagation policy
+    # the frontier and adaptive engines share one worklist drain
+    # (propagate_adaptive), partial Phase-1 re-init and cross-iteration
+    # invalidation seeding — adaptive additionally hands the drain a
+    # scheduler that picks each in-kernel round's propagation policy
     use_reuse = engine in ("frontier", "adaptive")
     scheduler = (
         AdaptiveScheduler(
@@ -318,30 +318,13 @@ def ecl_scc(
                         grouping = EdgeGrouping.build(wl.src, wl.dst)
                         in_wl = np.zeros(n, dtype=bool)
                         in_wl[grouping.touched] = True
-
-                        def run_reuse(
-                            seed_ids: np.ndarray,
-                            reinit: int = 0,
-                            recovery: bool = False,
-                        ) -> int:
-                            if scheduler is not None:
-                                _, r = propagate_adaptive(
-                                    sigs, grouping, device, opts, n,
-                                    seed=seed_ids, backend=be,
-                                    scheduler=scheduler, reinit=reinit,
-                                    outer=outer, recovery=recovery,
-                                    tracer=tr,
-                                )
-                            else:
-                                _, r = propagate_frontier(
-                                    sigs, grouping, device, opts, n,
-                                    seed=seed_ids, backend=be, reinit=reinit,
-                                    tracer=tr,
-                                )
-                            return r
-
-                        rounds = run_reuse(
-                            np.flatnonzero(invalidated & in_wl),
+                        drain = partial(
+                            propagate_adaptive, sigs, grouping, device, opts,
+                            n, backend=be, scheduler=scheduler, outer=outer,
+                            tracer=tr,
+                        )
+                        _, rounds = drain(
+                            seed=np.flatnonzero(invalidated & in_wl),
                             reinit=int(inv_ids.size),
                         )
                         if injector is not None:
@@ -362,7 +345,7 @@ def ecl_scc(
                                     (sigs.sig_in != snap_in)
                                     | (sigs.sig_out != snap_out)
                                 )
-                                rounds += run_reuse(regressed, recovery=True)
+                                rounds += drain(seed=regressed, recovery=True)[1]
                         total_rounds += rounds
                     elif engine == "atomic":
                         from .atomic import propagate_atomic

@@ -1,6 +1,6 @@
 """Phase 2 of ECL-SCC: maximum-signature propagation to a fixed point.
 
-Three engines implement the modelled kernel organizations:
+Three functions implement the modelled kernel organizations:
 
 * :func:`propagate_sync` — one kernel launch per global relaxation round
   (the baseline organization; Fig. 14's "no async" bar).
@@ -11,23 +11,25 @@ Three engines implement the modelled kernel organizations:
   because max-propagation is monotonic and we re-sweep until a global
   fixed point, any interleaving yields the same result (the paper's
   "resilient to temporary priority inversions" argument).
-* :func:`propagate_frontier` — a persistent vertex-worklist kernel in
-  the style of iSpan/GPU-SCC worklist codes: only edges incident to
-  vertices whose signatures changed are re-relaxed, and the driver seeds
-  each outer iteration from the *invalidated* vertices only
-  (cross-iteration frontier reuse) instead of re-relaxing every
-  surviving edge to quiescence.
-* :func:`propagate_adaptive` — the frontier engine's drain structure
-  with the round step delegated to a per-round
-  :class:`~repro.engine.policy.PropagationPolicy` picked by an
-  :class:`~repro.engine.scheduler.AdaptiveScheduler` from frontier
-  density, average frontier degree, and the running
-  launch-overhead/bandwidth ratio.
+* :func:`propagate_adaptive` — the one worklist drain: a persistent
+  vertex-worklist kernel in the style of iSpan/GPU-SCC worklist codes,
+  seeded each outer iteration from the *invalidated* vertices only
+  (cross-iteration frontier reuse).  Each in-kernel round is a
+  :class:`~repro.engine.policy.PropagationPolicy` step.  The
+  ``frontier`` engine pins the ``frontier`` policy (only edges incident
+  to vertices whose signatures changed are re-relaxed); the
+  ``adaptive`` engine lets an
+  :class:`~repro.engine.scheduler.AdaptiveScheduler` pick each round's
+  policy from frontier density, average frontier degree, and the
+  running launch-overhead/bandwidth ratio.
 
-The frontier engine's own round step *is* the registered ``frontier``
-policy (:class:`~repro.engine.policy.FrontierPushPolicy`) — one code
-path, so the static engine and the adaptive engine's frontier rounds can
-never diverge in labels or charges.
+The ``atomic`` engine's function lives in :mod:`repro.core.atomic`.
+Every engine is a schedule over the same relaxation steps, each with
+one implementation: the pull step :meth:`EdgeGrouping.relax_masked`, the
+push step :func:`~repro.engine.policy.scatter_max` /
+:func:`~repro.engine.policy.scatter_round`, and the dense compression
+step :meth:`~repro.core.signatures.Signatures.pointer_jump` +
+:meth:`~repro.core.signatures.Signatures.feedback`.
 
 All engines converge to the same unique fixed point: max-propagation is
 monotone, every engine terminates only when no plain relaxation can make
@@ -57,12 +59,12 @@ from ..engine.accounting import (
     charge_relaxation_round,
 )
 from ..engine.backend import ArrayBackend
-from ..engine.policy import RoundState, get_policy
+from ..engine.policy import RoundState, get_policy, scatter_round
 from ..engine.primitives import build_vertex_incidence
 from ..engine.scheduler import AdaptiveScheduler
 from ..errors import ConvergenceError
 from ..trace import NULL_TRACER, Tracer
-from ..types import VERTEX_DTYPE
+from ..types import VERTEX_DTYPE, ragged_arange
 from .options import EclOptions
 from .signatures import Signatures
 from .worklist import VertexFrontier
@@ -72,7 +74,6 @@ __all__ = [
     "BlockPartition",
     "propagate_sync",
     "propagate_async",
-    "propagate_frontier",
     "propagate_adaptive",
 ]
 
@@ -81,9 +82,10 @@ __all__ = [
 class EdgeGrouping:
     """Segment-max scaffolding for one static edge array pair.
 
-    ``relax_*`` performs one Jacobi relaxation round over these edges:
-    every edge (u -> v) proposes ``sig_out[v]`` to u's out-signature and
-    ``sig_in[u]`` to v's in-signature (Algorithm 1 lines 10-11).
+    :meth:`relax_masked` performs one Jacobi relaxation round over these
+    edges: every edge (u -> v) proposes ``sig_out[v]`` to u's
+    out-signature and ``sig_in[u]`` to v's in-signature (Algorithm 1
+    lines 10-11).
     """
 
     src: np.ndarray
@@ -122,39 +124,6 @@ class EdgeGrouping:
         return self.src.size
 
     # ------------------------------------------------------------------
-    def relax(self, sigs: Signatures, *, compress: bool) -> bool:
-        """One relaxation round; returns True if any signature rose.
-
-        With ``compress`` the candidate read is ``sig[sig[w]]`` instead of
-        ``sig[w]`` (the paper's ``out[out[v]]`` read) — never worse because
-        signatures are monotone and self-improving.
-        """
-        changed = False
-        sig_out, sig_in = sigs.sig_out, sigs.sig_in
-        # u_out <- max over out-edges (u -> v) of v's out-signature
-        cand = sig_out[self.dst]
-        if compress:
-            cand = sig_out[cand]
-        grouped = cand[self.order_by_src]
-        best = np.maximum.reduceat(grouped, self.starts_src)
-        cur = sig_out[self.group_src]
-        upd = best > cur
-        if upd.any():
-            sig_out[self.group_src[upd]] = best[upd]
-            changed = True
-        # v_in <- max over in-edges (u -> v) of u's in-signature
-        cand = sig_in[self.src]
-        if compress:
-            cand = sig_in[cand]
-        grouped = cand[self.order_by_dst]
-        best = np.maximum.reduceat(grouped, self.starts_dst)
-        cur = sig_in[self.group_dst]
-        upd = best > cur
-        if upd.any():
-            sig_in[self.group_dst[upd]] = best[upd]
-            changed = True
-        return changed
-
     def relax_masked(
         self,
         sigs: Signatures,
@@ -163,13 +132,16 @@ class EdgeGrouping:
         *,
         compress: bool,
     ) -> np.ndarray:
-        """One relaxation round over a subset of edges.
+        """One relaxation round over a subset of edges (the pull step).
 
         ``edge_active`` is a boolean mask parallel to ``src``/``dst``
         (``None`` means all edges).  Inactive edges are neutralized by
         substituting -1 candidates, so the precomputed grouping is reused
-        unchanged.  Returns a per-vertex boolean array marking vertices
-        whose signature rose this round.
+        unchanged.  With ``compress`` the candidate read is
+        ``sig[sig[w]]`` instead of ``sig[w]`` (the paper's
+        ``out[out[v]]`` read) — never worse because signatures are
+        monotone and self-improving.  Returns a per-vertex boolean array
+        marking vertices whose signature rose this round.
         """
         changed_v = np.zeros(num_vertices, dtype=bool)
         sig_out, sig_in = sigs.sig_out, sigs.sig_in
@@ -280,11 +252,13 @@ def propagate_sync(
         rounds += 1
         _bounds_check(rounds, bound, "propagate_sync", sigs)
         tracer.counter("relaxation-round", engine="sync")
-        changed = grouping.relax(sigs, compress=opts.path_compression)
+        changed_v = grouping.relax_masked(
+            sigs, None, num_vertices, compress=opts.path_compression
+        )
         extra_vertex_work = 0
         if opts.path_compression:
-            changed |= sigs.pointer_jump()
-            changed |= sigs.feedback(grouping.touched)
+            changed_v |= sigs.pointer_jump()
+            changed_v |= sigs.feedback(grouping.touched)
             extra_vertex_work = num_vertices + grouping.touched.size
         charge_relaxation_round(
             dev,
@@ -292,7 +266,7 @@ def propagate_sync(
             vertices=extra_vertex_work,
             blocks=blocks,
         )
-        if not changed:
+        if not changed_v.any():
             return rounds
 
 
@@ -360,35 +334,17 @@ def propagate_async(
             tracer.counter("relaxation-round", engine="async")
             active_edges = int(chunk_sizes[running].sum())
             launch_edge_work += active_edges
-            sig_in, sig_out = sigs.sig_in, sigs.sig_out
-            changed_v = np.zeros(num_vertices, dtype=bool)
             if active_edges > m // 4:
                 # ---- full-width round: neutralized segment max ----------
                 edge_active = (
                     None if running.all() else np.repeat(running, chunk_sizes)
                 )
-                changed_v |= g.relax_masked(
+                changed_v = g.relax_masked(
                     sigs, edge_active, num_vertices, compress=opts.path_compression
                 )
-                sig_in, sig_out = sigs.sig_in, sigs.sig_out
                 if opts.path_compression:
-                    # pointer doubling (the in[in]/out[out] reads of §3.3)
-                    ji = sig_in[sig_in]
-                    jo = sig_out[sig_out]
-                    changed_v |= ji != sig_in
-                    changed_v |= jo != sig_out
-                    sigs.sig_in, sigs.sig_out = sig_in, sig_out = ji, jo
-                    # signature feedback over the worklist endpoints
-                    in_t = sig_in[touched]
-                    out_t = sig_out[touched]
-                    before = sig_in[out_t]
-                    np.maximum.at(sig_in, out_t, in_t)
-                    upd = sig_in[out_t] > before
-                    changed_v[out_t[upd]] = True
-                    before = sig_out[in_t]
-                    np.maximum.at(sig_out, in_t, out_t)
-                    upd = sig_out[in_t] > before
-                    changed_v[in_t[upd]] = True
+                    changed_v |= sigs.pointer_jump()
+                    changed_v |= sigs.feedback(touched)
                     launch_vertex_work += num_vertices + touched.size
                 # deactivate: a block exits when no endpoint of its edges moved
                 if changed_v.any():
@@ -403,54 +359,18 @@ def propagate_async(
             else:
                 # ---- narrow front: scatter-max over active edges only ----
                 rb = np.flatnonzero(running)
-                idx = np.concatenate(
-                    [np.arange(bounds[i], bounds[i + 1]) for i in rb]
-                )
+                sizes = chunk_sizes[rb]
+                idx = np.repeat(bounds[rb], sizes) + ragged_arange(sizes)
                 s, d = src[idx], dst[idx]
-                cand = sig_out[d]
-                if opts.path_compression:
-                    cand = sig_out[cand]
-                before = sig_out[s]
-                np.maximum.at(sig_out, s, cand)
-                w = s[sig_out[s] > before]
-                changed_v[w] = True
-                cand = sig_in[s]
-                if opts.path_compression:
-                    cand = sig_in[cand]
-                before = sig_in[d]
-                np.maximum.at(sig_in, d, cand)
-                w = d[sig_in[d] > before]
-                changed_v[w] = True
-                if opts.path_compression:
-                    e = np.concatenate([s, d])
-                    # pointer doubling restricted to the active endpoints
-                    ji = sig_in[sig_in[e]]
-                    upd = ji > sig_in[e]
-                    sig_in[e[upd]] = ji[upd]
-                    changed_v[e[upd]] = True
-                    jo = sig_out[sig_out[e]]
-                    upd = jo > sig_out[e]
-                    sig_out[e[upd]] = jo[upd]
-                    changed_v[e[upd]] = True
-                    # feedback restricted to the active endpoints
-                    in_t = sig_in[e]
-                    out_t = sig_out[e]
-                    before = sig_in[out_t]
-                    np.maximum.at(sig_in, out_t, in_t)
-                    upd = sig_in[out_t] > before
-                    changed_v[out_t[upd]] = True
-                    before = sig_out[in_t]
-                    np.maximum.at(sig_out, in_t, out_t)
-                    upd = sig_out[in_t] > before
-                    changed_v[in_t[upd]] = True
-                    launch_vertex_work += 2 * e.size
+                changed_v, compress_work = scatter_round(
+                    sigs, s, d, num_vertices, compress=opts.path_compression
+                )
+                launch_vertex_work += compress_work
                 if changed_v.any():
                     launch_changed = True
                     upd_sub = changed_v[s] | changed_v[d]
                     # per-active-block boundaries within the subset
-                    sub_bounds = np.concatenate(
-                        [[0], np.cumsum(chunk_sizes[rb])]
-                    )[:-1]
+                    sub_bounds = np.concatenate([[0], np.cumsum(sizes)])[:-1]
                     alive_sub = (
                         np.maximum.reduceat(upd_sub.astype(np.int8), sub_bounds) > 0
                     )
@@ -467,90 +387,6 @@ def propagate_async(
             return launches, total_rounds
 
 
-def propagate_frontier(
-    sigs: Signatures,
-    grouping: EdgeGrouping,
-    dev: VirtualDevice,
-    opts: EclOptions,
-    num_vertices: int,
-    *,
-    seed: np.ndarray,
-    backend: ArrayBackend,
-    reinit: int = 0,
-    tracer: Tracer = NULL_TRACER,
-) -> "tuple[int, int]":
-    """Frontier Phase 2: persistent vertex worklist seeded by *seed*.
-
-    Returns ``(launches, rounds)``.
-
-    Model: one kernel compacts the invalidation flags into a vertex
-    worklist (one atomic slot claim per seed vertex), then a single
-    persistent kernel drains it — each in-kernel round gathers the edges
-    incident to the current frontier, scatter-maxes both signature
-    directions over exactly those edges, applies pointer jumping and
-    signature feedback restricted to the touched endpoints, and enqueues
-    every vertex whose signature rose into the next frontier
-    (double-buffered, :class:`~repro.core.worklist.VertexFrontier`).
-    The kernel exits when the frontier drains.
-
-    Correctness: an edge not incident to any changed vertex relaxes to
-    the values it already has, so skipping it cannot miss progress; an
-    empty frontier therefore certifies plain-relaxation quiescence, and
-    monotone max-propagation has a unique, schedule-independent fixed
-    point — labels are bit-identical to the dense engines.  ``seed``
-    must contain every vertex whose signature differs from its dense
-    re-initialized state (the driver passes the invalidated set:
-    unfinished vertices plus removed-edge endpoints).
-
-    Accounting: the seed compaction is one backend-swept launch, fused
-    with the driver's partial Phase-1 re-init (``reinit`` invalidated
-    vertices write their identity pair in the same sweep — both passes
-    read the same invalidation flags, so a real kernel does them
-    together); the drain is *one* launch whose per-round work
-    (active-adjacent edges only, racy scatter-max, next-frontier
-    enqueues) is charged as in-kernel traffic without further launches —
-    this is what makes the engine win on launch-dominated mesh graphs.
-    """
-    bound = opts.rounds_bound(num_vertices)
-    src, dst = grouping.src, grouping.dst
-    indptr, edge_ids = build_vertex_incidence(src, dst, num_vertices)
-    frontier = VertexFrontier.seeded(seed, num_vertices)
-    charge_frontier_compaction(
-        dev, backend, num_vertices=num_vertices, frontier_size=frontier.size,
-        reinit=reinit,
-    )
-    launches = 1
-    if frontier.size == 0:
-        # the host sees an empty worklist and skips the drain launch
-        return launches, 0
-    blocks = dev.blocks_for(max(grouping.num_edges, frontier.size))
-    if opts.persistent_threads:
-        blocks = min(blocks, dev.grid_blocks(persistent=True))
-    charge_frontier_launch(dev, blocks=blocks)
-    launches += 1
-    rounds = 0
-    # the round step is the registered "frontier" policy — the same code
-    # object the adaptive engine dispatches, so the two cannot diverge
-    policy = get_policy("frontier")
-    state = RoundState(
-        sigs=sigs,
-        grouping=grouping,
-        indptr=indptr,
-        edge_ids=edge_ids,
-        frontier=frontier.vertices,
-        num_vertices=num_vertices,
-        compress=opts.path_compression,
-    )
-    while frontier.size:
-        rounds += 1
-        _bounds_check(rounds, bound, "propagate_frontier", sigs)
-        tracer.counter("relaxation-round", engine="frontier")
-        state.frontier = frontier.vertices
-        changed_v = policy.run_round(state, dev)
-        frontier.advance(changed_v)
-    return launches, rounds
-
-
 def propagate_adaptive(
     sigs: Signatures,
     grouping: EdgeGrouping,
@@ -560,46 +396,65 @@ def propagate_adaptive(
     *,
     seed: np.ndarray,
     backend: ArrayBackend,
-    scheduler: AdaptiveScheduler,
+    scheduler: "AdaptiveScheduler | None" = None,
     reinit: int = 0,
     outer: int = 0,
     recovery: bool = False,
     tracer: Tracer = NULL_TRACER,
 ) -> "tuple[int, int]":
-    """Adaptive Phase 2: the frontier drain with per-round policy selection.
+    """Worklist Phase 2: a persistent vertex-frontier drain seeded by *seed*.
 
-    Returns ``(launches, rounds)``.
+    Returns ``(launches, rounds)``.  This one drain serves both the
+    ``frontier`` engine (``scheduler=None``: every round runs the pinned
+    ``frontier`` policy) and the ``adaptive`` engine (the *scheduler*
+    picks each round's :class:`~repro.engine.policy.PropagationPolicy`).
 
-    Structurally identical to :func:`propagate_frontier` — one
-    backend-swept seed compaction (fused with the partial Phase-1
-    re-init) plus one persistent drain launch — but before each in-kernel
-    round the *scheduler* picks the round's
-    :class:`~repro.engine.policy.PropagationPolicy`: a frontier push
-    round gathers only the frontier-incident edges, a dense pull round
-    re-relaxes the whole worklist (charged as in-kernel work of the same
-    drain, :func:`~repro.engine.accounting.charge_dense_round` — no extra
-    launch).  Kernel-launch counts are therefore *identical* to the
-    frontier engine whatever the policy mix, and the golden frontier
-    launch counts cover both engines.
+    Model: one kernel compacts the invalidation flags into a vertex
+    worklist (one atomic slot claim per seed vertex), then a single
+    persistent kernel drains it.  Each in-kernel round runs one policy
+    step — a frontier push round gathers the edges incident to the
+    current frontier, scatter-maxes both signature directions over
+    exactly those edges and applies pointer jumping and signature
+    feedback restricted to the touched endpoints; a dense pull round
+    re-relaxes the whole worklist — and enqueues every vertex whose
+    signature rose into the next frontier (double-buffered,
+    :class:`~repro.core.worklist.VertexFrontier`).  The kernel exits
+    when the frontier drains.
 
-    Correctness of mixing: every policy is a monotone step of the same
-    max-propagation semilattice and returns the exact changed-vertex set,
-    so the frontier invariant ("frontier = vertices whose signature
-    changed last round") survives a dense round — edges not incident to
-    a changed vertex relax to values they already hold — and the drain
-    still terminates exactly at plain-relaxation quiescence, reaching the
-    same schedule-independent fixed point.  Labels stay bit-identical to
-    the dense engines.
+    Correctness: an edge not incident to any changed vertex relaxes to
+    the values it already has, so skipping it cannot miss progress; an
+    empty frontier therefore certifies plain-relaxation quiescence.
+    Every policy is a monotone step of the same max-propagation
+    semilattice and returns the exact changed-vertex set, so the
+    frontier invariant survives any policy mix, and the unique,
+    schedule-independent fixed point keeps labels bit-identical to the
+    dense engines.  ``seed`` must contain every vertex whose signature
+    differs from its dense re-initialized state
+    (:func:`~repro.core.eclscc.ecl_scc` passes the invalidated set:
+    unfinished vertices plus removed-edge endpoints).
+
+    Accounting: the seed compaction is one backend-swept launch, fused
+    with the driver's partial Phase-1 re-init (``reinit`` invalidated
+    vertices write their identity pair in the same sweep — both passes
+    read the same invalidation flags, so a real kernel does them
+    together); the drain is *one* launch whose per-round work is charged
+    as in-kernel traffic without further launches — this is what makes
+    the engine win on launch-dominated mesh graphs.  Dense rounds are
+    in-kernel work of the same drain
+    (:func:`~repro.engine.accounting.charge_dense_round`), so launch
+    counts are identical for both engines whatever the policy mix.
 
     The scheduler's inputs are fed here: structural launches via
     ``note_launches`` (the latency side of the ratio) and per-round
     counter deltas via ``account_round`` (the bandwidth side), both
     backend-invariant.  With ``recovery=True`` (post-restore
-    re-propagation) the policy is forced to ``frontier``, the density
-    scan is skipped, and the tallies are left untouched, so a fault plan
-    cannot perturb the main rounds' decision sequence.
+    re-propagation) the scheduler forces the ``frontier`` policy, skips
+    the density scan and leaves its tallies untouched, so a fault plan
+    cannot perturb the main rounds' decision sequence.  Without a
+    scheduler there is no decision, snapshot or extra charge at all.
     """
     bound = opts.rounds_bound(num_vertices)
+    tally = scheduler is not None and not recovery
     src, dst = grouping.src, grouping.dst
     indptr, edge_ids = build_vertex_incidence(src, dst, num_vertices)
     frontier = VertexFrontier.seeded(seed, num_vertices)
@@ -608,7 +463,7 @@ def propagate_adaptive(
         reinit=reinit,
     )
     launches = 1
-    if not recovery:
+    if tally:
         scheduler.note_launches(1)
     if frontier.size == 0:
         # the host sees an empty worklist and skips the drain launch
@@ -618,9 +473,10 @@ def propagate_adaptive(
         blocks = min(blocks, dev.grid_blocks(persistent=True))
     charge_frontier_launch(dev, blocks=blocks)
     launches += 1
-    if not recovery:
+    if tally:
         scheduler.note_launches(1, blocks=blocks)
     rounds = 0
+    policy = get_policy("frontier")
     state = RoundState(
         sigs=sigs,
         grouping=grouping,
@@ -634,22 +490,27 @@ def propagate_adaptive(
         rounds += 1
         _bounds_check(rounds, bound, "propagate_adaptive", sigs)
         state.frontier = frontier.vertices
-        policy = scheduler.decide(
-            dev,
-            frontier=frontier.vertices,
-            indptr=indptr,
-            worklist_edges=grouping.num_edges,
-            touched=grouping.touched.size,
-            num_vertices=num_vertices,
-            compress=opts.path_compression,
-            outer=outer,
-            round_no=rounds,
-            recovery=recovery,
-        )
-        tracer.counter("relaxation-round", engine="adaptive", policy=policy.name)
-        before = dev.counters.snapshot()
+        if scheduler is None:
+            tracer.counter("relaxation-round", engine="frontier")
+        else:
+            policy = scheduler.decide(
+                dev,
+                frontier=frontier.vertices,
+                indptr=indptr,
+                worklist_edges=grouping.num_edges,
+                touched=grouping.touched.size,
+                num_vertices=num_vertices,
+                compress=opts.path_compression,
+                outer=outer,
+                round_no=rounds,
+                recovery=recovery,
+            )
+            tracer.counter(
+                "relaxation-round", engine="adaptive", policy=policy.name
+            )
+        before = dev.counters.snapshot() if tally else None
         changed_v = policy.run_round(state, dev)
-        if not recovery:
+        if tally:
             scheduler.account_round(before, dev.counters.snapshot())
         frontier.advance(changed_v)
     return launches, rounds

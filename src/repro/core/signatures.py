@@ -62,26 +62,25 @@ class Signatures:
         """Boolean mask of vertices whose signatures match (SCC identified)."""
         return self.sig_in == self.sig_out
 
-    def pointer_jump(self) -> bool:
-        """One pointer-doubling step on both arrays; True if anything moved.
+    def pointer_jump(self) -> np.ndarray:
+        """One pointer-doubling step on both arrays; returns the moved mask.
 
         ``sig_out[v]`` names a descendant y; y's own ``sig_out`` names a
         descendant of y, hence of v, and is >= y by monotonicity — so
         ``sig_out <- sig_out[sig_out]`` is a pure improvement.  Symmetric
         for ``sig_in``.  This is the first half of the paper's
         path-compression optimization (using ``in[in[v]]``/``out[out[v]]``).
+        The returned boolean mask marks every vertex whose in- or
+        out-signature rose.
         """
         jumped_in = self.sig_in[self.sig_in]
         jumped_out = self.sig_out[self.sig_out]
-        changed = not (
-            np.array_equal(jumped_in, self.sig_in)
-            and np.array_equal(jumped_out, self.sig_out)
-        )
+        moved = (jumped_in != self.sig_in) | (jumped_out != self.sig_out)
         self.sig_in = jumped_in
         self.sig_out = jumped_out
-        return changed
+        return moved
 
-    def feedback(self, vertices: "np.ndarray | None" = None) -> bool:
+    def feedback(self, vertices: "np.ndarray | None" = None) -> np.ndarray:
         """The paper's signature-feedback rule (§3.3, second refinement).
 
         For a vertex v with signature x:y (x = ``sig_in[v]``, an ancestor;
@@ -94,7 +93,8 @@ class Signatures:
 
         This is the provably-safe reading of the paper's "update the
         signature of vertex s with value t" step and matches its stated
-        justification sentence verbatim.  Returns True if any value rose.
+        justification sentence verbatim.  Applied to *vertices* (default:
+        all); returns the boolean mask of vertices whose signature rose.
         """
         if vertices is None:
             sig_in_v = self.sig_in
@@ -102,15 +102,13 @@ class Signatures:
         else:
             sig_in_v = self.sig_in[vertices]
             sig_out_v = self.sig_out[vertices]
-        # change detection via gathers at the touched targets only — a full
-        # array compare would make each feedback call O(n)
-        changed = False
+        # change detection via gathers at the touched targets only, not a
+        # before/after compare of the whole arrays
+        changed = np.zeros(self.sig_in.size, dtype=bool)
         before = self.sig_in[sig_out_v]
         np.maximum.at(self.sig_in, sig_out_v, sig_in_v)
-        if np.any(self.sig_in[sig_out_v] > before):
-            changed = True
+        changed[sig_out_v[self.sig_in[sig_out_v] > before]] = True
         before = self.sig_out[sig_in_v]
         np.maximum.at(self.sig_out, sig_in_v, sig_out_v)
-        if np.any(self.sig_out[sig_in_v] > before):
-            changed = True
+        changed[sig_in_v[self.sig_out[sig_in_v] > before]] = True
         return changed

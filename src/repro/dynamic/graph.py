@@ -58,7 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.eclscc import ecl_scc
-from ..core.options import ALL_ON, EclOptions, engine_options
+from ..core.options import ALL_ON, EclOptions
 from ..device.counters import KernelCounters
 from ..device.executor import VirtualDevice
 from ..device.spec import A100, DeviceSpec
@@ -80,7 +80,7 @@ from ..graph.csr import CSRGraph
 from ..profile.ledger import attach_ledger
 from ..results import AlgoResult, count_sccs
 from ..trace import Tracer, ensure_tracer
-from ..types import VERTEX_DTYPE, as_vertex_array
+from ..types import VERTEX_DTYPE, as_vertex_array, ragged_arange
 from .unionfind import UnionFind
 
 __all__ = ["DynamicGraph", "UpdateReport", "DynamicCheckpoint"]
@@ -289,7 +289,7 @@ class DynamicGraph:
         self._tr = ensure_tracer(tracer)
         attach_ledger(self._device, self._tr)
         base = options or ALL_ON
-        self._opts = engine_options(engine or "frontier", replace(base, faults=None))
+        self._opts = replace(base, engine=engine or "frontier", faults=None)
         self._backend = get_backend(backend if backend is not None else base.backend)
         self._faults = faults
         self._n = graph.num_vertices
@@ -591,7 +591,7 @@ class DynamicGraph:
             self._device, probed=probed, requested=int(s.size),
         )
         # the k-th duplicate request claims the k-th resident instance
-        offsets = np.repeat(left, counts) + _ragged_arange(counts)
+        offsets = np.repeat(left, counts) + ragged_arange(counts)
         remove_idx = order[offsets]
         removed_s = self._src[remove_idx].copy()
         removed_d = self._dst[remove_idx].copy()
@@ -644,6 +644,11 @@ class DynamicGraph:
         reached (early exit); otherwise returns the visited mask.
         ``active`` restricts the traversal (expanded edges into
         inactive vertices are still inspected, matching masked_bfs).
+
+        This is deliberately not the Phase-2 drain
+        (:func:`~repro.core.propagation.propagate_adaptive`): it is
+        boolean reachability with early exit, not max-propagation, and
+        folding it in would make the drain branch on its caller.
         """
         n = graph.num_vertices
         visited = np.zeros(n, dtype=bool)
@@ -847,15 +852,5 @@ def _gather_neighbors(
     total = int(degrees.sum())
     if total == 0:
         return np.empty(0, dtype=indices.dtype)
-    offsets = np.repeat(starts, degrees) + _ragged_arange(degrees)
+    offsets = np.repeat(starts, degrees) + ragged_arange(degrees)
     return indices[offsets]
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(c)`` for each c in *counts*."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ids = np.arange(total, dtype=np.int64)
-    resets = np.repeat(np.cumsum(counts) - counts, counts)
-    return ids - resets

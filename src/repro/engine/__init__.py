@@ -50,7 +50,6 @@ from .backend import (
 from .policy import (
     DEFAULT_POLICIES,
     DensePullPolicy,
-    DensePushPolicy,
     FrontierPushPolicy,
     PropagationPolicy,
     RoundState,
@@ -117,7 +116,6 @@ __all__ = [
     "RoundState",
     "RoundStats",
     "DensePullPolicy",
-    "DensePushPolicy",
     "FrontierPushPolicy",
     "register_policy",
     "get_policy",

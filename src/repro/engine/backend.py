@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import AlgorithmError
 from ..graph.csr import CSRGraph
-from ..types import VERTEX_DTYPE
+from ..types import VERTEX_DTYPE, ragged_arange
 
 __all__ = [
     "ArrayBackend",
@@ -78,10 +78,8 @@ class ArrayBackend:
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=VERTEX_DTYPE), counts
-        offsets = np.repeat(indptr[frontier], counts)
-        ids = np.arange(total, dtype=VERTEX_DTYPE)
-        resets = np.repeat(np.cumsum(counts) - counts, counts)
-        return indices[offsets + (ids - resets)], counts
+        offsets = np.repeat(indptr[frontier], counts) + ragged_arange(counts)
+        return indices[offsets], counts
 
     def sweep_vertices(self, total_vertices: int, worklist_size: int) -> int:
         """Vertex work items one level/round kernel processes.

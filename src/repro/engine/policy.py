@@ -1,29 +1,31 @@
-"""Pluggable per-round propagation policies for ECL-SCC's Phase 2.
+"""Per-round propagation policies for ECL-SCC's Phase 2.
 
-Historically the dense sweep and the frontier worklist were whole-run
-*engines*: the driver picked one organization up front and every
-propagation round of the run used it.  This module extracts the round
-step itself — consume the current frontier/invalidated state, raise
-signatures, emit device charges, return the changed-vertex set — into a
-:class:`PropagationPolicy` so the organization can be chosen *per round*
-(:mod:`repro.engine.scheduler`).
+Phase 2 is monotone max-propagation, so its fixed point does not depend
+on the schedule; every engine is a different schedule over the same few
+kernel steps, and each step has exactly one implementation:
 
-Two axes describe a policy:
+* **pull relax** — :meth:`~repro.core.propagation.EdgeGrouping.relax_masked`,
+  per-vertex segment maxima over grouped candidate edges (gather +
+  ``np.maximum.reduceat``, no write races);
+* **push relax** — :func:`scatter_max`, racy plain-write scatter maxima
+  from the edge sources/destinations (the paper's §3.4 argument:
+  monotone max-propagation tolerates lost updates); :func:`scatter_round`
+  adds path compression restricted to the relaxed endpoints;
+* **dense compression** —
+  :meth:`~repro.core.signatures.Signatures.pointer_jump` and
+  :meth:`~repro.core.signatures.Signatures.feedback`, each returning the
+  mask of vertices it raised.
 
-* **coverage** — a dense policy relaxes every worklist edge; a frontier
-  policy relaxes only edges incident to the current frontier.
-* **direction** — a *pull* policy computes per-vertex segment maxima
-  over grouped candidate edges (gather + ``np.maximum.reduceat``, no
-  write races); a *push* policy scatters candidates from the frontier
-  with racy plain-write maxima (the paper's §3.4 argument: monotone
-  max-propagation tolerates lost updates).
-
-The registry ships three policies: ``dense`` (pull, the sync engine's
-round), ``frontier`` (push, the frontier engine's round — the *same*
-code path :func:`~repro.core.propagation.propagate_frontier` drains
-through, so the two can never diverge in labels or charges), and
-``dense-push`` (push over all worklist edges) proving the direction axis
-is a registration choice, not a driver special case.
+A :class:`PropagationPolicy` packages one round — consume the current
+frontier, raise signatures, emit device charges, return the
+changed-vertex set — so the organization can be chosen *per round*
+(:mod:`repro.engine.scheduler`).  The registry ships two policies:
+``dense`` (pull over every worklist edge, the sync engine's round) and
+``frontier`` (push over the edges incident to the frontier).  Both the
+frontier and the adaptive engines drain through
+:func:`~repro.core.propagation.propagate_adaptive`; the frontier engine
+pins the ``frontier`` policy, the adaptive engine lets the scheduler
+pick between :data:`DEFAULT_POLICIES`.
 
 Correctness of mixing policies across rounds: every policy performs a
 monotone step of the same max-propagation join semilattice, a round that
@@ -58,8 +60,9 @@ __all__ = [
     "RoundStats",
     "PropagationPolicy",
     "DensePullPolicy",
-    "DensePushPolicy",
     "FrontierPushPolicy",
+    "scatter_max",
+    "scatter_round",
     "register_policy",
     "get_policy",
     "policy_names",
@@ -77,7 +80,8 @@ class RoundState:
     their array surface.
     """
 
-    #: Signatures-like object exposing ``sig_in``/``sig_out`` arrays.
+    #: Signatures-like object exposing ``sig_in``/``sig_out`` arrays and
+    #: the ``pointer_jump``/``feedback`` compression steps.
     sigs: object
     #: EdgeGrouping-like object over the current edge worklist
     #: (``src``/``dst``/``touched``/``num_edges``/``relax_masked``).
@@ -122,57 +126,58 @@ class RoundStats:
         return self.degree_sum / max(1, self.frontier_size)
 
 
-def _scatter_round(state: RoundState, idx: np.ndarray) -> "tuple[np.ndarray, int]":
-    """Shared push-relaxation body over edge subset *idx*.
+def scatter_max(
+    sigs, s: np.ndarray, d: np.ndarray, num_vertices: int, *, compress: bool
+) -> np.ndarray:
+    """Push relaxation over the edges ``s[i] -> d[i]``.
 
-    Scatter-max both signature directions with racy plain writes, then
-    apply pointer doubling and signature feedback restricted to the
-    touched endpoints.  Returns ``(changed_v, compress_work)``.
+    Scatter-maxes both signature directions with racy plain writes
+    (every edge proposes ``sig_out[d]`` to ``s`` and ``sig_in[s]`` to
+    ``d``; with *compress* the candidate read is ``sig[sig[w]]``).
+    Returns the mask of vertices whose signature rose.
     """
-    sigs = state.sigs
     sig_in, sig_out = sigs.sig_in, sigs.sig_out
-    src, dst = state.grouping.src, state.grouping.dst
-    changed_v = np.zeros(state.num_vertices, dtype=bool)
-    s, d = src[idx], dst[idx]
+    changed_v = np.zeros(num_vertices, dtype=bool)
     cand = sig_out[d]
-    if state.compress:
+    if compress:
         cand = sig_out[cand]
     before = sig_out[s]
     np.maximum.at(sig_out, s, cand)
-    w = s[sig_out[s] > before]
-    changed_v[w] = True
+    changed_v[s[sig_out[s] > before]] = True
     cand = sig_in[s]
-    if state.compress:
+    if compress:
         cand = sig_in[cand]
     before = sig_in[d]
     np.maximum.at(sig_in, d, cand)
-    w = d[sig_in[d] > before]
-    changed_v[w] = True
-    compress_work = 0
-    if state.compress and idx.size:
-        e = np.concatenate([s, d])
-        # pointer doubling restricted to the active endpoints
-        ji = sig_in[sig_in[e]]
-        upd = ji > sig_in[e]
-        sig_in[e[upd]] = ji[upd]
-        changed_v[e[upd]] = True
-        jo = sig_out[sig_out[e]]
-        upd = jo > sig_out[e]
-        sig_out[e[upd]] = jo[upd]
-        changed_v[e[upd]] = True
-        # feedback restricted to the active endpoints
-        in_t = sig_in[e]
-        out_t = sig_out[e]
-        before = sig_in[out_t]
-        np.maximum.at(sig_in, out_t, in_t)
-        upd = sig_in[out_t] > before
-        changed_v[out_t[upd]] = True
-        before = sig_out[in_t]
-        np.maximum.at(sig_out, in_t, out_t)
-        upd = sig_out[in_t] > before
-        changed_v[in_t[upd]] = True
-        compress_work = 2 * e.size
-    return changed_v, compress_work
+    changed_v[d[sig_in[d] > before]] = True
+    return changed_v
+
+
+def scatter_round(
+    sigs, s: np.ndarray, d: np.ndarray, num_vertices: int, *, compress: bool
+) -> "tuple[np.ndarray, int]":
+    """One push round over the edges ``s[i] -> d[i]``.
+
+    :func:`scatter_max`, then (with *compress*) pointer doubling and
+    signature feedback restricted to the edges' endpoints.  Returns
+    ``(changed_v, compress_work)``.
+    """
+    changed_v = scatter_max(sigs, s, d, num_vertices, compress=compress)
+    if not (compress and s.size):
+        return changed_v, 0
+    sig_in, sig_out = sigs.sig_in, sigs.sig_out
+    e = np.concatenate([s, d])
+    # pointer doubling restricted to the active endpoints
+    ji = sig_in[sig_in[e]]
+    upd = ji > sig_in[e]
+    sig_in[e[upd]] = ji[upd]
+    changed_v[e[upd]] = True
+    jo = sig_out[sig_out[e]]
+    upd = jo > sig_out[e]
+    sig_out[e[upd]] = jo[upd]
+    changed_v[e[upd]] = True
+    changed_v |= sigs.feedback(e)
+    return changed_v, 2 * e.size
 
 
 class PropagationPolicy:
@@ -217,26 +222,9 @@ class DensePullPolicy(PropagationPolicy):
         changed_v = g.relax_masked(sigs, None, n, compress=state.compress)
         compress_work = 0
         if state.compress:
-            sig_in, sig_out = sigs.sig_in, sigs.sig_out
-            # pointer doubling (the in[in]/out[out] reads of §3.3)
-            ji = sig_in[sig_in]
-            jo = sig_out[sig_out]
-            changed_v |= ji != sig_in
-            changed_v |= jo != sig_out
-            sigs.sig_in, sigs.sig_out = sig_in, sig_out = ji, jo
-            # signature feedback over the worklist endpoints
-            touched = g.touched
-            in_t = sig_in[touched]
-            out_t = sig_out[touched]
-            before = sig_in[out_t]
-            np.maximum.at(sig_in, out_t, in_t)
-            upd = sig_in[out_t] > before
-            changed_v[out_t[upd]] = True
-            before = sig_out[in_t]
-            np.maximum.at(sig_out, in_t, out_t)
-            upd = sig_out[in_t] > before
-            changed_v[in_t[upd]] = True
-            compress_work = n + touched.size
+            changed_v |= sigs.pointer_jump()
+            changed_v |= sigs.feedback(g.touched)
+            compress_work = n + g.touched.size
         enqueues = int(np.count_nonzero(changed_v))
         charge_dense_round(
             dev, edges=g.num_edges, vertices=compress_work, enqueues=enqueues
@@ -265,12 +253,13 @@ class FrontierPushPolicy(PropagationPolicy):
     name = "frontier"
     direction = "push"
 
-    def _select_edges(self, state: RoundState) -> np.ndarray:
-        return incident_edges(state.indptr, state.edge_ids, state.frontier)
-
     def run_round(self, state: RoundState, dev) -> np.ndarray:
-        idx = self._select_edges(state)
-        changed_v, compress_work = _scatter_round(state, idx)
+        idx = incident_edges(state.indptr, state.edge_ids, state.frontier)
+        g = state.grouping
+        changed_v, compress_work = scatter_round(
+            state.sigs, g.src[idx], g.dst[idx], state.num_vertices,
+            compress=state.compress,
+        )
         enqueues = int(np.count_nonzero(changed_v))
         charge_frontier_round(
             dev,
@@ -296,46 +285,6 @@ class FrontierPushPolicy(PropagationPolicy):
         if stats.compress:
             # compression work is 2 * |[s; d]| = 4 * edges touched
             seconds += 4 * edges * SIGNATURE_PAIR_BYTES / bw_irr
-        return seconds
-
-
-class DensePushPolicy(FrontierPushPolicy):
-    """Scatter-max over *all* worklist edges — the push dual of ``dense``.
-
-    Registered to prove the direction axis: same coverage as the dense
-    pull sweep, same racy-scatter relaxation as the frontier policy.
-    Its streamed worklist read matches the dense charge conventions
-    (:func:`~repro.engine.accounting.charge_dense_round`), while its
-    compression work follows the push shape (restricted to the relaxed
-    endpoints rather than pointer-jumping the whole array).  Not in
-    :data:`DEFAULT_POLICIES` — the scheduler's shipped pair covers the
-    coverage axis; this one is selectable by explicit configuration.
-    """
-
-    name = "dense-push"
-    direction = "push"
-
-    def _select_edges(self, state: RoundState) -> np.ndarray:
-        return np.arange(state.grouping.num_edges, dtype=np.int64)
-
-    def run_round(self, state: RoundState, dev) -> np.ndarray:
-        idx = self._select_edges(state)
-        changed_v, compress_work = _scatter_round(state, idx)
-        enqueues = int(np.count_nonzero(changed_v))
-        charge_dense_round(
-            dev, edges=idx.size, vertices=compress_work, enqueues=enqueues
-        )
-        return changed_v
-
-    def round_cost(
-        self, stats: RoundStats, spec: DeviceSpec, working_set_bytes: float
-    ) -> float:
-        bw_irr = effective_bandwidth(spec, working_set_bytes)
-        bw_str = spec.mem_bw_gbs * 1e9 * STREAM_EFF
-        m = stats.worklist_edges
-        seconds = m * ADJACENCY_EDGE_BYTES / bw_irr + m * PAIR_FLAG_BYTES / bw_str
-        if stats.compress:
-            seconds += 4 * m * SIGNATURE_PAIR_BYTES / bw_irr
         return seconds
 
 
@@ -371,7 +320,6 @@ def policy_names() -> "list[str]":
 
 register_policy(DensePullPolicy())
 register_policy(FrontierPushPolicy())
-register_policy(DensePushPolicy())
 
-#: the policy pair the adaptive scheduler chooses between by default.
+#: the policy pair the adaptive scheduler chooses between.
 DEFAULT_POLICIES = ("dense", "frontier")

@@ -39,7 +39,7 @@ from ..device.executor import VirtualDevice
 from ..errors import ConvergenceError
 from ..graph.csr import CSRGraph
 from ..trace import NULL_TRACER, Tracer
-from ..types import NO_VERTEX, VERTEX_DTYPE
+from ..types import NO_VERTEX, VERTEX_DTYPE, ragged_arange
 from . import accounting as acct
 from .backend import ArrayBackend, get_backend
 
@@ -688,7 +688,5 @@ def incident_edges(
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(indptr[frontier], counts)
-    ids = np.arange(total, dtype=np.int64)
-    resets = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.unique(edge_ids[offsets + (ids - resets)])
+    offsets = np.repeat(indptr[frontier], counts) + ragged_arange(counts)
+    return np.unique(edge_ids[offsets])

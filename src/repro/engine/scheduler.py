@@ -15,7 +15,8 @@ round it
    size, the incidence-degree sum, and the worklist size
    (:meth:`~repro.engine.policy.PropagationPolicy.round_cost`);
 3. picks the cheapest (ties break toward the earlier policy in the
-   configured order), records a :class:`PolicyDecision`, and emits a
+   :data:`~repro.engine.policy.DEFAULT_POLICIES` order), records a
+   :class:`PolicyDecision`, and emits a
    ``scheduler:pick`` counter event.
 
 Determinism: every input of a decision is *backend- and
@@ -123,14 +124,13 @@ class AdaptiveScheduler:
         *,
         num_vertices: int,
         num_edges: int,
-        policies: "tuple[str, ...]" = DEFAULT_POLICIES,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.spec = spec
         self.num_vertices = int(num_vertices)
         self.working_set = working_set_of_graph(num_vertices, num_edges)
         self.policies: "tuple[PropagationPolicy, ...]" = tuple(
-            get_policy(name) for name in policies
+            get_policy(name) for name in DEFAULT_POLICIES
         )
         self.tracer = tracer
         #: every decision of the run, in order (recovery ones included).

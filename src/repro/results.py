@@ -11,25 +11,14 @@ returns an :class:`AlgoResult` (or a subclass) carrying::
     result.device     # VirtualDevice with counters (None for oracles)
     result.trace      # repro.trace.Trace when a tracer was passed
 
-Backward compatibility ("deprecation shims"): an :class:`AlgoResult`
-still *behaves* like both legacy contracts —
-
-* tuple style: ``labels, dev = gpu_scc(g)`` and ``gpu_scc(g)[0]`` keep
-  working (``DeprecationWarning``);
-* bare-array style: ``np.asarray(result)`` yields the labels, unknown
-  attributes (``result.tolist()``, ``result.size``) delegate to the
-  label array, ``result == x`` compares labels elementwise, and array
-  indexing (``result[mask]``) indexes the labels — so
-  ``np.array_equal(tarjan_scc(g), ...)`` and every label-consuming
-  helper keep working (``DeprecationWarning`` on attribute delegation).
-
-New code should use the named fields.
+A result is not an array: label-consuming helpers take
+``result.labels`` (or go through :func:`coerce_labels`).  Two results
+compare equal when their labels and component counts agree.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -82,15 +71,6 @@ def coerce_labels(labels_or_result: Any) -> np.ndarray:
     return np.asarray(labels_or_result)
 
 
-def _deprecated(how: str) -> None:
-    warnings.warn(
-        f"accessing an AlgoResult {how} is deprecated; use the named"
-        " fields (.labels, .num_sccs, .device, .trace) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(eq=False)
 class AlgoResult:
     """Outcome of one SCC-algorithm run — the unified return contract.
@@ -139,69 +119,12 @@ class AlgoResult:
             except ValueError:
                 pass
 
-    # ------------------------------------------------------------------
-    # legacy (labels, device) tuple contract
-    # ------------------------------------------------------------------
-    def __iter__(self):
-        _deprecated("as a (labels, device) tuple")
-        return iter((self.labels, self.device))
-
-    def __getitem__(self, key):
-        # The tuple contract only ever existed for device-returning
-        # algorithms; oracle results (device=None) were bare arrays, so
-        # integer keys on them must index the labels (``truth[v]``).
-        if (
-            self.device is not None
-            and isinstance(key, (int, np.integer))
-            and key in (0, 1)
-        ):
-            _deprecated("by tuple position")
-            return self.labels if key == 0 else self.device
-        # everything else is legacy bare-array indexing (masks, slices,
-        # fancy indices, negative positions)
-        return self.labels[key]
-
-    # ------------------------------------------------------------------
-    # legacy bare-array contract
-    # ------------------------------------------------------------------
-    def __array__(self, dtype=None, copy=None):
-        arr = np.asarray(self.labels)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        if copy:
-            arr = arr.copy()
-        return arr
-
-    def __getattr__(self, name: str):
-        # only called for attributes missing on the instance/class;
-        # delegate to the label array so `.tolist()`, `.size`, `.max()`
-        # etc. keep working for legacy bare-array call sites
-        if name.startswith("_") or name == "labels":
-            raise AttributeError(name)
-        labels = self.__dict__.get("labels")
-        if labels is None:
-            raise AttributeError(name)
-        try:
-            value = getattr(labels, name)
-        except AttributeError:
-            raise AttributeError(
-                f"{type(self).__name__!s} has no attribute {name!r}"
-            ) from None
-        _deprecated(f"as a bare label array (.{name})")
-        return value
-
     def __eq__(self, other):
-        if isinstance(other, AlgoResult):
-            return self is other or (
-                np.array_equal(self.labels, other.labels)
-                and self.num_sccs == other.num_sccs
-            )
-        return np.asarray(self.labels) == other
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if isinstance(result, np.ndarray):
-            return ~result
-        return not result
+        if not isinstance(other, AlgoResult):
+            return NotImplemented
+        return self is other or (
+            np.array_equal(self.labels, other.labels)
+            and self.num_sccs == other.num_sccs
+        )
 
     __hash__ = object.__hash__

@@ -17,16 +17,10 @@ subsumes it:
   configuration.  A static solve is exactly the degenerate dynamic
   case: ``Solver().dynamic(g).query()`` yields the same labels as
   ``Solver().solve(g)``.
-
-Legacy spellings are accepted with ``DeprecationWarning`` shims:
-``solve(g, algo="ecl-scc")`` (old bench scripts) and
-``solve(g, frontier_phase2=True)`` (PR 4's bool flag, folded into
-``engine="frontier"`` — see :class:`repro.core.options.EclOptions`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .bench.runners import RunResult, run_algorithm
@@ -135,7 +129,6 @@ def solve(
     verify: bool = False,
     time_wall: bool = False,
     repeats: int = 9,
-    **legacy,
 ) -> RunResult:
     """Solve *graph* for SCCs — the one-call front door.
 
@@ -143,35 +136,7 @@ def solve(
     ``solve(g, "ispan")`` runs a baseline; ``engine=`` / ``backend=`` /
     ``options=`` / ``faults=`` select the pipeline axes exactly as
     :class:`Solver` does (this function is ``Solver(...).solve(...)``).
-
-    Deprecated spellings (``DeprecationWarning``): ``algo=`` for the
-    algorithm name and ``frontier_phase2=True`` for
-    ``engine="frontier"``.
     """
-    if "algo" in legacy:
-        warnings.warn(
-            "solve(algo=...) is deprecated; pass the algorithm name"
-            " positionally or as algorithm=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if algorithm is not None:
-            raise AlgorithmError("pass either algorithm= or algo=, not both")
-        algorithm = legacy.pop("algo")
-    if "frontier_phase2" in legacy:
-        warnings.warn(
-            "solve(frontier_phase2=...) is deprecated; pass"
-            " engine='frontier' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if legacy.pop("frontier_phase2") and engine is None:
-            engine = "frontier"
-    if legacy:
-        raise TypeError(
-            "solve() got unexpected keyword arguments: "
-            + ", ".join(sorted(legacy))
-        )
     solver = Solver(
         algorithm=algorithm or "ecl-scc",
         device=device if device is not None else A100,

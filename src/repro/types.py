@@ -26,6 +26,7 @@ __all__ = [
     "as_indptr_array",
     "is_sorted",
     "check_1d",
+    "ragged_arange",
 ]
 
 #: dtype used for vertex IDs, edge endpoints, signatures, and SCC labels.
@@ -87,3 +88,18 @@ def is_sorted(a: np.ndarray) -> bool:
     if a.size <= 1:
         return True
     return bool(np.all(a[:-1] <= a[1:]))
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(c)`` for each c in *counts*, vectorized.
+
+    ``np.repeat(starts, counts) + ragged_arange(counts)`` lists the flat
+    positions of the ragged slices ``[starts[i], starts[i] + counts[i])``
+    — the CSR frontier gather every BFS-style kernel here performs.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=VERTEX_DTYPE)
+    ids = np.arange(total, dtype=VERTEX_DTYPE)
+    resets = np.repeat(np.cumsum(counts) - counts, counts)
+    return ids - resets

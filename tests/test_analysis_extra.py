@@ -17,7 +17,7 @@ class TestBowTie:
     def test_canonical_bowtie(self):
         # IN (0) -> CORE {1,2} -> OUT (3); 4 disconnected
         g = CSRGraph.from_edges([0, 1, 2, 2], [1, 2, 1, 3], num_vertices=5)
-        bt = bowtie_decomposition(g, tarjan_scc(g))
+        bt = bowtie_decomposition(g, tarjan_scc(g).labels)
         assert bt.core.tolist() == [False, True, True, False, False]
         assert bt.in_component.tolist() == [True, False, False, False, False]
         assert bt.out_component.tolist() == [False, False, False, True, False]
@@ -25,7 +25,7 @@ class TestBowTie:
 
     def test_regions_partition(self):
         g, _ = build_powerlaw("web-Google", scale=1 / 256, seed=0)
-        bt = bowtie_decomposition(g, tarjan_scc(g))
+        bt = bowtie_decomposition(g, tarjan_scc(g).labels)
         total = (
             bt.core.astype(int) + bt.in_component.astype(int)
             + bt.out_component.astype(int) + bt.other.astype(int)
@@ -34,7 +34,7 @@ class TestBowTie:
 
     def test_fractions_sum_to_one(self):
         g = cycle_graph(6)
-        bt = bowtie_decomposition(g, tarjan_scc(g))
+        bt = bowtie_decomposition(g, tarjan_scc(g).labels)
         assert sum(bt.fractions().values()) == pytest.approx(1.0)
         assert bt.fractions()["core"] == 1.0
 
@@ -63,12 +63,12 @@ class TestProfiles:
 
     def test_peel_profile_ladder(self):
         g = scc_ladder(4)
-        prof = peel_profile(g, tarjan_scc(g))
+        prof = peel_profile(g, tarjan_scc(g).labels)
         assert prof.tolist() == [2, 2, 2, 2]  # one 2-SCC per level
 
     def test_peel_profile_single_scc(self):
         g = cycle_graph(9)
-        prof = peel_profile(g, tarjan_scc(g))
+        prof = peel_profile(g, tarjan_scc(g).labels)
         assert prof.tolist() == [9]
 
     def test_summary_fields(self):

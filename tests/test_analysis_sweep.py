@@ -42,7 +42,7 @@ class TestPartitionsEqual:
 class TestVerifyLabels:
     def test_accepts_correct(self):
         g = cycle_graph(5)
-        verify_labels(g, tarjan_scc(g))
+        verify_labels(g, tarjan_scc(g).labels)
 
     def test_rejects_wrong(self):
         g = cycle_graph(5)
@@ -74,7 +74,7 @@ class TestVerifyLabels:
 class TestSccStats:
     def test_ladder(self):
         g = scc_ladder(4)
-        s = scc_statistics(g, tarjan_scc(g))
+        s = scc_statistics(g, tarjan_scc(g).labels)
         assert s.num_sccs == 4
         assert s.size2_sccs == 4
         assert s.size1_sccs == 0
@@ -83,7 +83,7 @@ class TestSccStats:
 
     def test_without_depth(self):
         g = cycle_graph(4)
-        s = scc_statistics(g, tarjan_scc(g), with_depth=False)
+        s = scc_statistics(g, tarjan_scc(g).labels, with_depth=False)
         assert s.dag_depth == 0
 
     def test_histogram(self):
@@ -94,40 +94,40 @@ class TestSccStats:
 
     def test_as_row_keys(self):
         g = cycle_graph(3)
-        row = scc_statistics(g, tarjan_scc(g)).as_row()
+        row = scc_statistics(g, tarjan_scc(g).labels).as_row()
         assert row["sccs"] == 1 and row["largest"] == 3
 
 
 class TestSweepSchedule:
     def test_path_schedule(self):
         g = path_graph(4)
-        sch = sweep_schedule(g, tarjan_scc(g))
+        sch = sweep_schedule(g, tarjan_scc(g).labels)
         assert sch.depth == 4
         assert [lv.tolist() for lv in sch.levels] == [[0], [1], [2], [3]]
         assert sch.num_nontrivial == 0
 
     def test_cycle_one_level(self):
         g = cycle_graph(5)
-        sch = sweep_schedule(g, tarjan_scc(g))
+        sch = sweep_schedule(g, tarjan_scc(g).labels)
         assert sch.depth == 1
         assert sch.num_nontrivial == 1
 
     def test_validate_against(self):
         g = scc_ladder(5)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         sch = sweep_schedule(g, labels)
         assert sch.validate_against(g, labels)
 
     def test_max_parallelism(self):
         g = CSRGraph.from_adjacency([[2], [2], []])
-        sch = sweep_schedule(g, tarjan_scc(g))
+        sch = sweep_schedule(g, tarjan_scc(g).labels)
         assert sch.max_parallelism() == 2
 
 
 class TestTransportSweep:
     def test_acyclic_exact(self):
         g = path_graph(5)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         sch = sweep_schedule(g, labels)
         res = solve_transport_sweep(g, sch, labels, sigma_t=2.0, coupling=0.5)
         # psi[0]=0.5, psi[k] = (1 + 0.5 psi[k-1]) / 2
@@ -140,7 +140,7 @@ class TestTransportSweep:
 
     def test_cyclic_converges(self):
         g = cycle_graph(6)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         sch = sweep_schedule(g, labels)
         res = solve_transport_sweep(g, sch, labels)
         assert res.scc_inner_iterations > 0

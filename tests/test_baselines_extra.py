@@ -19,54 +19,54 @@ from repro.mesh import sweep_graphs, torch_hex
 class TestColoring:
     def test_matches_tarjan(self, all_graphs):
         for g in all_graphs:
-            labels, _ = coloring_scc(g)
-            assert np.array_equal(labels, tarjan_scc(g)), g
+            labels = coloring_scc(g).labels
+            assert np.array_equal(labels, tarjan_scc(g).labels), g
 
     def test_single_cycle(self):
-        labels, _ = coloring_scc(cycle_graph(12))
+        labels = coloring_scc(cycle_graph(12)).labels
         assert (labels == 11).all()
 
     def test_root_is_max_member(self):
         g = scc_ladder(6)
-        labels, _ = coloring_scc(g)
+        labels = coloring_scc(g).labels
         for rep in np.unique(labels):
             assert np.flatnonzero(labels == rep).max() == rep
 
     def test_counts_propagation_rounds(self):
         g = cycle_graph(40)
-        _, dev = coloring_scc(g)
+        dev = coloring_scc(g).device
         # max-color propagation around a cycle crawls ~diameter rounds
         # (no pointer jumping in the classic coloring scheme)
         assert dev.counters.rounds >= 20
 
     def test_empty(self):
-        labels, _ = coloring_scc(CSRGraph.empty(0))
+        labels = coloring_scc(CSRGraph.empty(0)).labels
         assert labels.size == 0
 
 
 class TestMultistep:
     def test_matches_tarjan(self, all_graphs):
         for g in all_graphs:
-            labels, _ = multistep_scc(g)
-            assert np.array_equal(labels, tarjan_scc(g)), g
+            labels = multistep_scc(g).labels
+            assert np.array_equal(labels, tarjan_scc(g).labels), g
 
     def test_without_trim2(self, random_graphs):
         for g in random_graphs[:4]:
-            labels, _ = multistep_scc(g, use_trim2=False)
-            assert np.array_equal(labels, tarjan_scc(g))
+            labels = multistep_scc(g, use_trim2=False).labels
+            assert np.array_equal(labels, tarjan_scc(g).labels)
 
     def test_powerlaw(self):
         g, _ = build_powerlaw("soc-LiveJournal1", scale=1 / 256, seed=0)
-        labels, _ = multistep_scc(g)
-        assert np.array_equal(labels, tarjan_scc(g))
+        labels = multistep_scc(g).labels
+        assert np.array_equal(labels, tarjan_scc(g).labels)
 
     def test_mesh(self):
         _, g = sweep_graphs(torch_hex(2), 1)[0]
-        labels, _ = multistep_scc(g)
-        assert np.array_equal(labels, tarjan_scc(g))
+        labels = multistep_scc(g).labels
+        assert np.array_equal(labels, tarjan_scc(g).labels)
 
     def test_empty(self):
-        labels, _ = multistep_scc(CSRGraph.empty(3))
+        labels = multistep_scc(CSRGraph.empty(3)).labels
         assert labels.tolist() == [0, 1, 2]
 
 

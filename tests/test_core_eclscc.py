@@ -34,17 +34,17 @@ class TestCorrectness:
     def test_all_variants_match_tarjan(self, variant, all_graphs):
         opts = ablation_variants()[variant]
         for g in all_graphs:
-            truth = tarjan_scc(g)
+            truth = tarjan_scc(g).labels
             res = ecl_scc(g, options=opts)
             assert np.array_equal(res.labels, truth), (variant, g)
 
     def test_reference_matches_tarjan(self, all_graphs):
         for g in all_graphs:
-            assert np.array_equal(ecl_scc_reference(g), tarjan_scc(g))
+            assert np.array_equal(ecl_scc_reference(g), tarjan_scc(g).labels)
 
     def test_minmax_matches_tarjan(self, all_graphs):
         for g in all_graphs:
-            assert np.array_equal(minmax_scc(g).labels, tarjan_scc(g))
+            assert np.array_equal(minmax_scc(g).labels, tarjan_scc(g).labels)
 
     def test_optimized_matches_reference(self, random_graphs):
         for g in random_graphs:
@@ -69,7 +69,7 @@ class TestCorrectness:
         opts = EclOptions(atomic_phase2=True)
         for g in all_graphs:
             res = ecl_scc(g, options=opts)
-            assert np.array_equal(res.labels, tarjan_scc(g)), g
+            assert np.array_equal(res.labels, tarjan_scc(g).labels), g
 
     def test_atomic_phase2_counts_atomics(self):
         g = cycle_graph(64)
@@ -81,7 +81,7 @@ class TestCorrectness:
     def test_duplicate_edges_and_self_loops(self):
         g = CSRGraph.from_edges([0, 0, 0, 1, 1], [0, 1, 1, 0, 0], num_vertices=3)
         res = ecl_scc(g)
-        assert np.array_equal(res.labels, tarjan_scc(g))
+        assert np.array_equal(res.labels, tarjan_scc(g).labels)
 
 
 class TestIterationBehaviour:

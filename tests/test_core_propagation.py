@@ -10,9 +10,8 @@ from repro.core import (
     EdgeGrouping,
     Signatures,
     VertexFrontier,
-    engine_options,
+    propagate_adaptive,
     propagate_async,
-    propagate_frontier,
     propagate_sync,
 )
 from repro.device import A100, VirtualDevice
@@ -114,16 +113,16 @@ class TestEdgeGrouping:
     def test_relax_single_edge(self):
         grp = EdgeGrouping.build(np.array([0]), np.array([1]))
         sigs = Signatures.identity(2)
-        changed = grp.relax(sigs, compress=False)
-        assert changed
+        changed = grp.relax_masked(sigs, None, 2, compress=False)
+        assert changed.tolist() == [True, False]
         assert sigs.sig_out[0] == 1  # u_out <- max(u_out, v_out)
         assert sigs.sig_in[1] == 1   # v_in stays (u_in=0 < 1)
 
     def test_relax_idempotent_at_fixpoint(self):
         grp = EdgeGrouping.build(np.array([0]), np.array([1]))
         sigs = Signatures.identity(2)
-        grp.relax(sigs, compress=False)
-        assert not grp.relax(sigs, compress=False)
+        grp.relax_masked(sigs, None, 2, compress=False)
+        assert not grp.relax_masked(sigs, None, 2, compress=False).any()
 
 
 def run_frontier(graph, opts, seed=None):
@@ -134,13 +133,13 @@ def run_frontier(graph, opts, seed=None):
     grouping = EdgeGrouping.build(src, dst)
     if seed is None:
         seed = np.unique(np.concatenate([src, dst])) if src.size else np.array([], dtype=np.int64)
-    launches, rounds = propagate_frontier(
+    launches, rounds = propagate_adaptive(
         sigs, grouping, dev, opts, n, seed=seed, backend=get_backend("dense")
     )
     return sigs, launches, rounds, dev
 
 
-FRONTIER = engine_options("frontier")
+FRONTIER = EclOptions(engine="frontier")
 
 
 class TestFrontierEngine:
@@ -190,7 +189,7 @@ class TestFrontierEngine:
         sigs.sig_in[3] = 3
         sigs.sig_out[3] = 3
         dev = VirtualDevice(A100)
-        propagate_frontier(
+        propagate_adaptive(
             sigs, grouping, dev, FRONTIER, 12,
             seed=np.array([3]), backend=get_backend("dense"),
         )
@@ -248,9 +247,7 @@ class TestSafetyBounds:
 
     def test_frontier_honors_explicit_max_rounds(self):
         g = cycle_graph(100)
-        opts = engine_options(
-            "frontier", EclOptions(path_compression=False, max_rounds=3)
-        )
+        opts = EclOptions(engine="frontier", path_compression=False, max_rounds=3)
         with pytest.raises(ConvergenceError) as ei:
             run_frontier(g, opts)
         assert ei.value.iterations == 3

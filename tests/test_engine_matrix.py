@@ -10,17 +10,21 @@ The backend x algorithm matrix below extends the net across the shared
 labels under every registered accounting backend, and under the default
 dense backend the kernel-launch counts must stay bit-identical to the
 golden counts captured on the pre-engine tree (an A100 run over the same
-corpus) — any accidental change to the accounting shows up here.
+corpus) — any accidental change to the accounting shows up here.  For
+the five ECL-SCC engines the golden check covers every device counter,
+under both backends (``golden_engine_counters.json``).
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.baselines import tarjan_scc
 from repro.bench.runners import _DISPATCH
-from repro.core import EclOptions, ecl_scc, engine_options
+from repro.core import EclOptions, ecl_scc
 from repro.device.spec import A100
 from repro.engine import backend_names
 from repro.graph import permute_random, cycle_graph
@@ -30,12 +34,10 @@ FLAGS = list(itertools.product((False, True), repeat=2))  # compression, persist
 
 
 def make_options(engine: str, compression: bool, persistent: bool) -> EclOptions:
-    return engine_options(
-        engine,
-        EclOptions(
-            path_compression=compression,
-            persistent_threads=persistent,
-        ),
+    return EclOptions(
+        engine=engine,
+        path_compression=compression,
+        persistent_threads=persistent,
     )
 
 
@@ -45,7 +47,7 @@ def test_engine_matrix_labels(engine, compression, persistent, all_graphs):
     opts = make_options(engine, compression, persistent)
     for g in all_graphs:
         res = ecl_scc(g, options=opts)
-        assert np.array_equal(res.labels, tarjan_scc(g)), (
+        assert np.array_equal(res.labels, tarjan_scc(g).labels), (
             engine, compression, persistent, g,
         )
 
@@ -55,7 +57,7 @@ def test_engines_with_randomized_ids(engine, random_graphs):
     opts = make_options(engine, True, True)
     for g in random_graphs[:6]:
         res = ecl_scc(g, options=opts, randomize_ids=True, seed=3)
-        assert np.array_equal(res.labels, tarjan_scc(g))
+        assert np.array_equal(res.labels, tarjan_scc(g).labels)
 
 
 # kernel-launch counts per (algorithm, corpus graph) captured before the
@@ -102,13 +104,38 @@ def test_frontier_golden_launches(engine, all_graphs):
     from repro.device.executor import VirtualDevice
 
     assert len(GOLDEN_FRONTIER_LAUNCHES) == len(all_graphs)
-    opts = engine_options(engine)
+    opts = EclOptions(engine=engine)
     for i, g in enumerate(all_graphs):
         dev = VirtualDevice(A100)
         res = ecl_scc(g, options=opts, device=dev)
         launches = res.device.counters.kernel_launches
         assert launches == GOLDEN_FRONTIER_LAUNCHES[i], (i, launches)
         assert launches <= GOLDEN_LAUNCHES["ecl-scc"][i], i
+
+
+# every field of dev.counters.snapshot() per (engine, backend, corpus
+# graph), captured before the Phase-2 drain merge (A100, default options
+# with the engine set) — the engines are different schedules over shared
+# relaxation steps, so any change to a step or a charge shows up here
+GOLDEN_COUNTERS = json.loads(
+    (Path(__file__).with_name("golden_engine_counters.json")).read_text()
+)
+
+
+@pytest.mark.parametrize("backend", ("dense", "frontier"))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engine_golden_counters(engine, backend, all_graphs):
+    """All ten device counters match the goldens, per engine x backend."""
+    from repro.device.executor import VirtualDevice
+
+    rows = GOLDEN_COUNTERS["counters"][f"{engine}/{backend}"]
+    assert len(rows) == len(all_graphs), "corpus drifted; recapture goldens"
+    opts = EclOptions(engine=engine, backend=backend)
+    for i, g in enumerate(all_graphs):
+        res = ecl_scc(g, options=opts, device=VirtualDevice(A100))
+        snap = res.device.counters.snapshot()
+        assert list(snap) == GOLDEN_COUNTERS["fields"]
+        assert list(snap.values()) == rows[i], (engine, backend, i)
 
 
 @pytest.mark.parametrize("backend", backend_names())

@@ -24,7 +24,7 @@ from repro.analysis import partitions_equal
 class TestDeterministicShapes:
     def test_cycle_one_scc(self):
         g = cycle_graph(11)
-        assert np.unique(tarjan_scc(g)).size == 1
+        assert np.unique(tarjan_scc(g).labels).size == 1
 
     def test_cycle_minimum_size(self):
         with pytest.raises(GraphFormatError):
@@ -32,31 +32,31 @@ class TestDeterministicShapes:
 
     def test_path_all_trivial(self):
         g = path_graph(6)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         assert np.unique(labels).size == 6
         assert dag_depth(g, labels) == 6
 
     def test_complete_digraph(self):
         g = complete_digraph(6)
         assert g.num_edges == 30
-        assert np.unique(tarjan_scc(g)).size == 1
+        assert np.unique(tarjan_scc(g).labels).size == 1
 
     def test_ladder_structure(self):
         g = scc_ladder(8)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         _, counts = np.unique(labels, return_counts=True)
         assert (counts == 2).all()
         assert dag_depth(g, labels) == 8
 
     def test_grid_dag_depth(self):
         g = grid_dag(6, 7)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         assert np.unique(labels).size == 42
         assert dag_depth(g, labels) == 12
 
     def test_chain_of_cliques(self):
         g = dag_chain_of_cliques(9, 5, seed=4)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         uniq, counts = np.unique(labels, return_counts=True)
         assert uniq.size == 9
         assert (counts == 5).all()
@@ -68,18 +68,18 @@ class TestPlanted:
     def test_planted_matches_truth(self, seed):
         sizes = [1, 3, 2, 8, 1, 5, 2]
         g, truth = planted_scc_graph(sizes, extra_dag_edges=12, seed=seed)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         assert partitions_equal(labels, truth)
 
     def test_planted_sizes(self):
         sizes = [4, 4, 4]
         g, truth = planted_scc_graph(sizes, seed=0)
-        _, counts = np.unique(tarjan_scc(g), return_counts=True)
+        _, counts = np.unique(tarjan_scc(g).labels, return_counts=True)
         assert sorted(counts.tolist()) == [4, 4, 4]
 
     def test_planted_all_trivial(self):
         g, truth = planted_scc_graph([1] * 10, extra_dag_edges=15, seed=2)
-        assert np.unique(tarjan_scc(g)).size == 10
+        assert np.unique(tarjan_scc(g).labels).size == 10
 
 
 class TestRandomGenerators:
@@ -118,4 +118,4 @@ class TestRandomGenerators:
         g = random_tournament(n, seed=5)
         assert g.num_edges == n * (n - 1) // 2
         # tournaments of moderate size are a.s. strongly connected
-        assert np.unique(tarjan_scc(g)).size == 1
+        assert np.unique(tarjan_scc(g).labels).size == 1

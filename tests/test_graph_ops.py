@@ -46,8 +46,8 @@ class TestRelabel:
     def test_preserves_scc_structure(self):
         g = cycle_graph(8)
         h, mapping = permute_random(g, seed=3)
-        lg = tarjan_scc(g)
-        lh = tarjan_scc(h)
+        lg = tarjan_scc(g).labels
+        lh = tarjan_scc(h).labels
         # cycle stays one SCC under any relabelling
         assert np.unique(lg).size == np.unique(lh).size == 1
 
@@ -100,7 +100,7 @@ class TestUnionReplicate:
         g = disjoint_union([cycle_graph(3), cycle_graph(4)])
         assert g.num_vertices == 7
         assert g.num_edges == 7
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         assert np.unique(labels).size == 2
 
     def test_disjoint_union_empty_list(self):
@@ -111,7 +111,7 @@ class TestUnionReplicate:
         big = replicate(g, 10)
         assert big.num_vertices == 50
         assert big.num_edges == 50
-        assert np.unique(tarjan_scc(big)).size == 10
+        assert np.unique(tarjan_scc(big).labels).size == 10
 
     def test_replicate_one_copy_identity(self):
         g = cycle_graph(4)

@@ -60,12 +60,12 @@ class TestPreferentialAttachment:
 
     def test_reciprocation_creates_nontrivial_sccs(self):
         g = preferential_attachment_digraph(800, 4, back_prob=0.5, seed=1)
-        _, counts = np.unique(tarjan_scc(g), return_counts=True)
+        _, counts = np.unique(tarjan_scc(g).labels, return_counts=True)
         assert counts.max() > 10
 
     def test_no_backedges_means_dag(self):
         g = preferential_attachment_digraph(300, 3, back_prob=0.0, seed=2)
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         assert np.unique(labels).size == 300
 
     def test_args_validated(self):

@@ -29,7 +29,7 @@ from repro.mesh import (
 
 
 def scc_summary(g):
-    labels = tarjan_scc(g)
+    labels = tarjan_scc(g).labels
     uniq, counts = np.unique(labels, return_counts=True)
     return {
         "sccs": uniq.size,

@@ -80,13 +80,13 @@ class TestDelaunayAcyclicity:
     def test_box_sweeps_acyclic(self):
         m = unstructured_box_tet(300)
         for _, g in sweep_graphs(m, 4):
-            labels = tarjan_scc(g)
+            labels = tarjan_scc(g).labels
             assert np.unique(labels).size == g.num_vertices
 
     def test_torch_sweeps_acyclic(self):
         m = unstructured_torch_tet(800)
         for _, g in sweep_graphs(m, 3):
-            labels = tarjan_scc(g)
+            labels = tarjan_scc(g).labels
             assert np.unique(labels).size == g.num_vertices
 
     def test_curved_torch_differs(self):
@@ -95,5 +95,5 @@ class TestDelaunayAcyclicity:
         from repro.mesh import torch_tet
 
         _, g = sweep_graphs(torch_tet(2), 1)[0]
-        labels = tarjan_scc(g)
+        labels = tarjan_scc(g).labels
         assert np.unique(labels).size < g.num_vertices

@@ -49,7 +49,7 @@ def test_shape():
 
 def test_final_sccs():
     g = build()
-    truth = tarjan_scc(g)
+    truth = tarjan_scc(g).labels
     res = ecl_scc(g)
     assert np.array_equal(res.labels, truth)
     # SCC structure the figure describes
@@ -107,7 +107,7 @@ def test_phase3_separates_max_sccs():
 def test_never_removes_intra_scc_edges():
     """§3.2.1's final guarantee, on this graph, for every iteration."""
     g = build()
-    truth = tarjan_scc(g)
+    truth = tarjan_scc(g).labels
     res = ecl_scc(g, options=ALL_ON.disabling("remove_scc_edges"))
     # with plain Phase 3, exactly the intra-SCC edges remain at the end
     src, dst = g.edges()

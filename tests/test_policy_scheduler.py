@@ -14,7 +14,7 @@ import pytest
 
 from repro.baselines import tarjan_scc
 from repro.bench import run_algorithm
-from repro.core import Signatures, ecl_scc, engine_options
+from repro.core import EclOptions, Signatures, ecl_scc
 from repro.core.propagation import EdgeGrouping
 from repro.device.executor import VirtualDevice
 from repro.device.spec import A100
@@ -46,15 +46,12 @@ from repro.trace import Tracer
 
 class TestPolicyRegistry:
     def test_shipped_policies(self):
-        assert set(policy_names()) >= {"dense", "frontier", "dense-push"}
+        assert set(policy_names()) >= {"dense", "frontier"}
         assert DEFAULT_POLICIES == ("dense", "frontier")
 
     def test_direction_axis(self):
         assert get_policy("dense").direction == "pull"
         assert get_policy("frontier").direction == "push"
-        # dense-push: dense coverage, push direction — the axis is a
-        # registration choice, not a driver special case
-        assert get_policy("dense-push").direction == "push"
 
     def test_unknown_policy_raises_listing_registry(self):
         with pytest.raises(AlgorithmError, match="dense"):
@@ -121,14 +118,13 @@ def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
 
 @pytest.mark.parametrize("compress", (False, True))
 def test_any_policy_schedule_reaches_same_fixed_point(compress):
-    """dense / frontier / dense-push / alternating mixes all converge to
-    bit-identical signatures — the monotone-join argument the adaptive
-    engine's label guarantee rests on."""
+    """dense / frontier / alternating mixes all converge to bit-identical
+    signatures — the monotone-join argument the adaptive engine's label
+    guarantee rests on."""
     schedules = {
         "all-dense": lambda r: "dense",
         "all-frontier": lambda r: "frontier",
-        "all-dense-push": lambda r: "dense-push",
-        "alternating": lambda r: ("dense", "frontier", "dense-push")[r % 3],
+        "alternating": lambda r: ("dense", "frontier")[r % 2],
     }
     for g in (cycle_graph(17), scc_ladder(6), random_gnm(60, 240, seed=2)):
         ref = None
@@ -141,23 +137,6 @@ def test_any_policy_schedule_reaches_same_fixed_point(compress):
                 assert np.array_equal(sigs.sig_out, ref.sig_out), name
 
 
-def test_dense_push_labels_through_scheduler():
-    """A scheduler restricted to dense-push still yields Tarjan labels
-    (the policy is registered but outside DEFAULT_POLICIES)."""
-    sched_policies = ("dense-push",)
-    for g in (cycle_graph(9), random_gnm(40, 150, seed=4)):
-        sched = AdaptiveScheduler(
-            A100, num_vertices=g.num_vertices, num_edges=g.num_edges,
-            policies=sched_policies,
-        )
-        assert [p.name for p in sched.policies] == ["dense-push"]
-        # full adaptive run restricted via the registry-level check:
-        # dense-push rounds mixed into an ecl run stay correct
-        sigs = _run_policy_schedule(g, lambda r: "dense-push")
-        ref = _run_policy_schedule(g, lambda r: "dense")
-        assert np.array_equal(sigs.sig_in, ref.sig_in)
-
-
 # ---------------------------------------------------------------------------
 # adaptive engine: labels + launch parity + performance gate
 # ---------------------------------------------------------------------------
@@ -165,18 +144,18 @@ def test_dense_push_labels_through_scheduler():
 class TestAdaptiveEngine:
     def test_labels_match_tarjan_and_dense(self, all_graphs):
         for g in all_graphs:
-            adaptive = ecl_scc(g, options=engine_options("adaptive"))
-            dense = ecl_scc(g, options=engine_options("async"))
+            adaptive = ecl_scc(g, options=EclOptions(engine="adaptive"))
+            dense = ecl_scc(g, options=EclOptions(engine="async"))
             assert np.array_equal(adaptive.labels, dense.labels)
-            assert np.array_equal(adaptive.labels, tarjan_scc(g))
+            assert np.array_equal(adaptive.labels, tarjan_scc(g).labels)
 
     def test_decision_log_on_result(self):
         g = random_gnm(80, 300, seed=1)
-        res = ecl_scc(g, options=engine_options("adaptive"))
+        res = ecl_scc(g, options=EclOptions(engine="adaptive"))
         assert res.decision_log is not None and len(res.decision_log) > 0
         assert all(isinstance(d, PolicyDecision) for d in res.decision_log)
         # static engines carry no log
-        assert ecl_scc(g, options=engine_options("frontier")).decision_log is None
+        assert ecl_scc(g, options=EclOptions(engine="frontier")).decision_log is None
 
     def test_adaptive_beats_or_matches_static(self):
         """The bench gate's invariant at test scale: adaptive total
@@ -186,7 +165,7 @@ class TestAdaptiveEngine:
             seconds = {}
             for engine in ("async", "frontier", "adaptive"):
                 dev = VirtualDevice(A100)
-                ecl_scc(g, options=engine_options(engine), device=dev)
+                ecl_scc(g, options=EclOptions(engine=engine), device=dev)
                 seconds[engine] = dev.estimate(
                     g.num_vertices, g.num_edges, signatures=2
                 ).total
@@ -197,7 +176,7 @@ class TestAdaptiveEngine:
         """The density scan is honest: a scanning decision moves the
         device counters (vertex work + bytes), not just Python state."""
         g = random_gnm(50, 80, seed=0)  # sparse: scheduler keeps scanning
-        res = ecl_scc(g, options=engine_options("adaptive"))
+        res = ecl_scc(g, options=EclOptions(engine="adaptive"))
         scanned = [d for d in res.decision_log if d.scanned]
         assert scanned, "expected at least one scanned decision"
         dev = VirtualDevice(A100)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import fb_scc, gpu_scc, ispan_scc
 from repro.bench import run_algorithm
 from repro.core import ecl_scc, minmax_scc
-from repro.core.options import engine_options
+from repro.core.options import EclOptions
 from repro.device import A100, XEON_6226R, VirtualDevice
 from repro.distributed import block_partition, distributed_ecl_scc
 from repro.distributed.cluster import ClusterSpec
@@ -116,7 +116,7 @@ class TestAttributionSum:
         g = random_gnm(150, 500, seed=5)
         tr = Tracer()
         res = ecl_scc(
-            g, options=engine_options(engine), device=device,
+            g, options=EclOptions(engine=engine), device=device,
             backend=backend, tracer=tr,
         )
         tr.finish()
@@ -138,7 +138,7 @@ class TestAttributionSum:
         g = random_gnm(n, m, seed=seed)
         tr = Tracer()
         res = ecl_scc(
-            g, options=engine_options(engine), device=device, tracer=tr
+            g, options=EclOptions(engine=engine), device=device, tracer=tr
         )
         tr.finish()
         report = profile_run(res)

@@ -1,6 +1,4 @@
-"""Tests for the unified result API (``repro.results.AlgoResult``) and
-its backward-compatibility shims for the legacy bare-array and
-``(labels, device)`` tuple contracts."""
+"""Tests for the unified result API (``repro.results.AlgoResult``)."""
 
 import numpy as np
 import pytest
@@ -43,67 +41,6 @@ class TestAlgoResultFields:
         assert tarjan_scc(graph).device is None
         assert gpu_scc(graph).device is not None
 
-
-class TestTupleShim:
-    def test_unpack_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="tuple"):
-            labels, dev = gpu_scc(graph)
-        assert np.array_equal(labels, gpu_scc(graph).labels)
-        assert dev is not None
-
-    def test_positional_index_warns(self, graph):
-        res = gpu_scc(graph)
-        with pytest.warns(DeprecationWarning, match="tuple position"):
-            assert res[0] is res.labels
-        with pytest.warns(DeprecationWarning, match="tuple position"):
-            assert res[1] is res.device
-
-    def test_oracle_integer_index_is_labels(self, graph, recwarn):
-        # oracle results were bare arrays: truth[v] means "label of v"
-        truth = tarjan_scc(graph)
-        assert truth[0] == truth.labels[0]
-        assert truth[1] == truth.labels[1]
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_array_indexing_passes_through(self, graph):
-        res = gpu_scc(graph)
-        mask = res.labels == res.labels[0]
-        assert np.array_equal(res[mask], res.labels[mask])
-        assert np.array_equal(res[2:5], res.labels[2:5])
-
-
-class TestBareArrayShim:
-    def test_asarray(self, graph):
-        res = tarjan_scc(graph)
-        arr = np.asarray(res)
-        assert arr is not None and arr.dtype == res.labels.dtype
-        assert np.array_equal(arr, res.labels)
-        assert np.asarray(res, dtype=np.float64).dtype == np.float64
-
-    def test_numpy_functions(self, graph):
-        res = tarjan_scc(graph)
-        assert np.unique(res).size == res.num_sccs
-        assert np.array_equal(tarjan_scc(graph), res.labels)
-
-    def test_attribute_delegation_warns(self, graph):
-        res = tarjan_scc(graph)
-        with pytest.warns(DeprecationWarning, match="bare label array"):
-            assert res.tolist() == res.labels.tolist()
-        with pytest.warns(DeprecationWarning):
-            assert res.size == res.labels.size
-
-    def test_missing_attribute_raises(self, graph):
-        with pytest.raises(AttributeError):
-            tarjan_scc(graph).no_such_attribute
-
-    def test_elementwise_equality(self, graph):
-        res = tarjan_scc(graph)
-        eq = res == res.labels
-        assert isinstance(eq, np.ndarray) and eq.all()
-        ne = res != res.labels[0]
-        assert isinstance(ne, np.ndarray)
-        assert np.array_equal(ne, res.labels != res.labels[0])
-
     def test_result_to_result_equality(self, graph):
         a, b = tarjan_scc(graph), kosaraju_scc(graph)
         assert a == b and not (a != b)
@@ -117,18 +54,16 @@ class TestBareArrayShim:
 
 
 class TestLegacyCallSites:
-    """The exact idioms the old test-suite/call sites used keep passing."""
+    """The idioms old call sites used, spelled with the named fields."""
 
     def test_verify_against_oracle(self, graph):
         labels = ecl_scc(graph).labels
-        assert np.array_equal(labels, np.asarray(tarjan_scc(graph)))
+        assert np.array_equal(labels, tarjan_scc(graph).labels)
 
     def test_tuple_style_baseline(self):
-        g = scc_ladder(8)
-        with pytest.warns(DeprecationWarning):
-            labels, device = coloring_scc(g)
-        assert count_sccs(labels) == 8
-        assert device.counters.snapshot()
+        res = coloring_scc(scc_ladder(8))
+        assert count_sccs(res.labels) == 8
+        assert res.device.counters.snapshot()
 
     def test_count_sccs_empty(self):
         assert count_sccs(np.empty(0, dtype=np.int64)) == 0

@@ -372,7 +372,7 @@ class TestServiceEndToEnd:
         qry = svc.submit(JobSpec("t", JobKind.QUERY, "g0"), at=1.0)
         svc.run()
         assert upd.state is JobState.DONE and qry.state is JobState.DONE
-        assert len(np.unique(np.asarray(qry.result))) == 10
+        assert len(np.unique(qry.result.labels)) == 10
 
     def test_crash_plan_retries_are_bounded(self):
         plan = preset_plan("serve-crash", seed=5)

@@ -268,8 +268,8 @@ class TestBaselineTraces:
         trace = tr.finish()
         assert res.trace is trace
         assert trace.count_spans(span) >= 1
-        truth = tarjan_scc(g)
-        assert np.array_equal(np.asarray(res), np.asarray(truth))
+        truth = tarjan_scc(g).labels
+        assert np.array_equal(res.labels, truth)
 
 
 class TestDistributedTrace:
