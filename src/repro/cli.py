@@ -1856,10 +1856,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2 and one
+    ``repro: error:`` line for a ``ReproError`` or a missing file)."""
+    from .errors import ReproError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, FileNotFoundError) as exc:
+        message = " ".join(str(exc).split())  # one line, whatever the text
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,7 +11,7 @@ only visible as end-of-run totals.  This package turns a run into
   folded into a contiguous phase decomposition that spans its
   end-to-end latency exactly;
 * :class:`ObsRecorder` (``recorder``) — the ``SccService(observer=...)``
-  hook that samples the control plane as it runs;
+  hook that records the service's decision events as it runs;
 * :func:`export_perfetto` (``perfetto``) — one ``trace.json`` for
   https://ui.perfetto.dev: worker tracks, queue lanes, per-job phase
   lanes, and data-plane kernel spans correlated by job id;

@@ -32,6 +32,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from ..trace.records import LAUNCH_FIELDS
 from .timeline import job_timeline
 
 __all__ = ["export_perfetto", "dump_perfetto"]
@@ -42,21 +43,6 @@ _PID_COUNTERS = 0
 _PID_WORKERS = 1
 _PID_QUEUES = 2
 _PID_JOBS = 3
-
-#: LaunchRecord counter-delta fields aggregated into span args.
-_LAUNCH_FIELDS = (
-    "kernel_launches",
-    "global_barriers",
-    "edge_work",
-    "vertex_work",
-    "bytes_moved",
-    "atomics",
-    "serial_work",
-    "rounds",
-    "blocks_scheduled",
-    "bytes_streamed",
-)
-
 
 def _meta(pid: int, name: str, tid: "int | None" = None,
           tname: "str | None" = None) -> "list[dict]":
@@ -133,7 +119,7 @@ def _span_slices(job: Any) -> "list[dict]":
         if rec.span_id is None:
             continue
         agg = charges.setdefault(rec.span_id, {})
-        for name in _LAUNCH_FIELDS:
+        for name in LAUNCH_FIELDS:
             value = getattr(rec, name)
             if value:
                 agg[name] = agg.get(name, 0) + value

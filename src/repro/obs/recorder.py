@@ -1,24 +1,24 @@
 """The observer that turns a live service run into observability data.
 
-:class:`ObsRecorder` plugs into ``SccService(observer=...)``.  The
-service calls :meth:`on_event` after every simulated event it
-processes; the recorder samples the control plane's state onto a
-:class:`~repro.obs.timeseries.SeriesRegistry` (change-driven step
-series, so flat stretches cost nothing), streams terminal-job
-latencies into :class:`~repro.obs.timeseries.StreamingHistogram`
-sketches, and folds each newly-terminal job's decision history into a
-:class:`~repro.obs.timeline.JobTimeline`.
+:class:`ObsRecorder` plugs into ``SccService(observer=...)``.  It is
+push-fed: the service emits every decision once into its append-only
+``service.events`` log and calls :meth:`on_event` after every simulated
+event; the recorder consumes only the events appended since its last
+call, so its cost is linear in what it observes.  From them it builds
+:class:`~repro.obs.timeseries.SeriesRegistry` samples (change-driven
+step series, so flat stretches cost nothing), latency
+:class:`~repro.obs.timeseries.StreamingHistogram` sketches, and one
+:class:`~repro.obs.timeline.JobTimeline` per terminal job.
 
-The coupling is duck-typed on purpose: ``repro.serve`` never imports
-``repro.obs`` — any object with an ``on_event(service)`` method works
-as an observer, and the recorder only touches public service surface
-(``now``, ``queue``, ``pool``, ``metrics``, ``cache``, ``ledger``,
-``jobs``, ``breaker_for``'s backing table).
+The coupling is duck-typed on purpose: ``repro.obs`` never imports
+``repro.serve``.  Besides the event log the recorder reads only O(1)
+service surface: ``now``, ``queue``, ``pool``, ``cache``,
+``breakers_enabled``, ``metrics.SERIES`` and ``budget_utilization``.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from typing import Any
 
 from .timeline import JobTimeline, job_timeline
@@ -29,25 +29,15 @@ __all__ = ["ObsRecorder", "BREAKER_STATE_LEVELS"]
 #: gauge encoding of circuit-breaker states (closed is healthy/low).
 BREAKER_STATE_LEVELS = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
-#: cumulative service counters worth a time series (the rest stay
-#: visible as run totals in ``ServiceMetrics``).
-_SAMPLED_COUNTERS = (
-    "submitted",
-    "admitted",
-    "dispatched",
-    "completed",
-    "crashed",
-    "retries",
-    "shed_backpressure",
-    "shed_breaker",
-    "dead_letter",
-    "cache_hits",
-    "coalesced_reads",
-)
+#: breaker events -> the state they leave the breaker in
+_BREAKER_STATE_OF = {"breaker-half-open": "half-open", "breaker-opened": "open",
+                     "breaker-reopened": "open", "breaker-closed": "closed"}
+#: events after which the service finishes their job
+_TERMINAL_EVENTS = frozenset({"complete", "reject-budget", "shed", "dead-letter"})
 
 
 class ObsRecorder:
-    """Samples an :class:`~repro.serve.service.SccService` as it runs.
+    """Records an :class:`~repro.serve.service.SccService` run as it goes.
 
     Parameters
     ----------
@@ -65,68 +55,74 @@ class ObsRecorder:
         self.timelines: "list[JobTimeline]" = []
         self.report: Any = None
         self._growth = growth
-        self._pending: "dict[int, Any]" = {}
-        self._jobs_cursor = 0
+        self._events_cursor = 0
+        self._counts: "Counter[str]" = Counter()
+        self._breakers: "dict[str, str]" = {}
         self.events_observed = 0
 
     # ------------------------------------------------------------------
     # service hook
     # ------------------------------------------------------------------
     def on_event(self, service: Any) -> None:
-        """Called by the service after each simulated event."""
+        """Called by the service after each simulated event.
+
+        Samples keep a fixed order: queue and WIP gauges, counter
+        series, cache gauges, then the breakers and tenants the new
+        events touched (sorted), then the new terminal jobs' timelines
+        by job id.
+        """
         self.events_observed += 1
         now = service.now
-        reg = self.registry
         self._gauge_changed("queue_depth", now, float(len(service.queue)))
         self._gauge_changed("wip_in_flight", now, float(service.pool.in_flight))
 
-        counters = service.metrics.counters
-        for name in _SAMPLED_COUNTERS:
-            value = float(counters.get(name, 0))
-            last = reg.last(f"metric:{name}")
-            if last is None or last.value != value:
-                reg.counter(f"metric:{name}", now, value)
+        new = service.events[self._events_cursor:]
+        self._events_cursor += len(new)
+        workloads: "set[str]" = set()
+        tenants: "set[str]" = set()
+        finished: "list[Any]" = []
+        for ev in new:
+            for name in ev.counters:
+                self._counts[name] += ev.n
+            if ev.event in _BREAKER_STATE_OF:
+                workloads.add(ev.detail["workload"])
+                self._breakers[ev.detail["workload"]] = _BREAKER_STATE_OF[ev.event]
+            elif ev.event == "dispatch" and service.breakers_enabled:
+                # a workload's first dispatch creates its (closed) breaker
+                workloads.add(ev.job.spec.workload)
+                self._breakers.setdefault(ev.job.spec.workload, "closed")
+            if ev.event in ("complete", "crash"):  # charged its tenant
+                tenants.add(ev.job.spec.tenant)
+            if ev.event in _TERMINAL_EVENTS:
+                finished.append(ev.job)
+
+        touched = {name for ev in new for name in ev.counters}
+        for name in service.metrics.SERIES:
+            # every series starts at the first event, at zero if untouched
+            if name in touched or self.events_observed == 1:
+                self.registry.counter(f"metric:{name}", now, float(self._counts[name]))
 
         cache = service.cache
         if cache is not None:
-            hits = cache.stats.hits
-            misses = cache.stats.misses
-            lookups = hits + misses
+            lookups = cache.stats.hits + cache.stats.misses
             if lookups:
-                self._gauge_changed("cache_hit_rate", now, hits / lookups)
+                self._gauge_changed("cache_hit_rate", now, cache.stats.hits / lookups)
             self._gauge_changed("cache_bytes", now, float(cache.bytes))
-
-        for workload, breaker in sorted(service._breakers.items()):
-            level = BREAKER_STATE_LEVELS[breaker.state.value]
+        for workload in sorted(workloads):
+            level = BREAKER_STATE_LEVELS[self._breakers[workload]]
             self._gauge_changed(f"breaker:{workload}", now, level)
-
-        ledger = service.ledger
-        for tenant, spent in ledger.snapshot().items():
-            limit = ledger.budget_of(tenant).model_seconds
-            if math.isfinite(limit) and limit > 0:
-                self._gauge_changed(
-                    f"budget_util:{tenant}", now,
-                    spent["model_seconds"] / limit,
-                )
-
-        self._sweep_jobs(service)
+        for tenant in sorted(tenants):
+            util = service.budget_utilization(tenant)
+            if util is not None:
+                self._gauge_changed(f"budget_util:{tenant}", now, util)
+        for job in sorted(finished, key=lambda j: j.id):
+            self._on_terminal(job)
 
     def _gauge_changed(self, series: str, t: float, value: float) -> None:
         """Record a gauge point only when the level actually moved."""
         last = self.registry.last(series)
         if last is None or last.value != value:
             self.registry.gauge(series, t, value)
-
-    def _sweep_jobs(self, service: Any) -> None:
-        jobs = service.jobs
-        while self._jobs_cursor < len(jobs):
-            job = jobs[self._jobs_cursor]
-            self._pending[job.id] = job
-            self._jobs_cursor += 1
-        finished = [j for j in self._pending.values() if j.terminal]
-        for job in finished:
-            del self._pending[job.id]
-            self._on_terminal(job)
 
     def _on_terminal(self, job: Any) -> None:
         tl = job_timeline(job)

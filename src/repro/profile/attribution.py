@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 from ..device.costmodel import TERM_NAMES, cost_terms
 from ..device.counters import KernelCounters
 from ..device.spec import DeviceSpec
-from ..trace.records import LaunchRecord, Trace
+from ..trace.records import LAUNCH_FIELDS, LaunchRecord, Trace
 
 __all__ = [
     "PhaseProfile",
@@ -44,21 +44,6 @@ CLASSIFICATIONS = {
     "compute": "compute-bound",
 }
 
-#: counter fields aggregated per phase (snapshot() keys).
-_COUNTER_FIELDS = (
-    "kernel_launches",
-    "global_barriers",
-    "edge_work",
-    "vertex_work",
-    "bytes_moved",
-    "atomics",
-    "serial_work",
-    "rounds",
-    "blocks_scheduled",
-    "bytes_streamed",
-)
-
-
 @dataclass
 class PhaseProfile:
     """Attributed cost of one span path (all launches sharing the path)."""
@@ -66,7 +51,7 @@ class PhaseProfile:
     path: "Tuple[str, ...]"
     records: int = 0
     counters: "Dict[str, int]" = field(
-        default_factory=lambda: {f: 0 for f in _COUNTER_FIELDS}
+        default_factory=lambda: {f: 0 for f in LAUNCH_FIELDS}
     )
     seconds: "Dict[str, float]" = field(
         default_factory=lambda: {t: 0.0 for t in TERM_NAMES}
@@ -124,7 +109,7 @@ def aggregate_counters(launches: "list[LaunchRecord]") -> KernelCounters:
     """
     agg = KernelCounters()
     for rec in launches:
-        for f in _COUNTER_FIELDS:
+        for f in LAUNCH_FIELDS:
             setattr(agg, f, getattr(agg, f) + getattr(rec, f))
     return agg
 
@@ -169,7 +154,7 @@ def attribute_launches(
         if ph is None:
             ph = phases[rec.path] = PhaseProfile(path=rec.path)
         ph.records += 1
-        for f in _COUNTER_FIELDS:
+        for f in LAUNCH_FIELDS:
             ph.counters[f] += getattr(rec, f)
         terms = cost_terms(rec, spec, working_set_bytes=working_set_bytes)
         if loser == "memory":

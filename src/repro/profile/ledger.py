@@ -16,27 +16,12 @@ attached and the device keeps its zero-overhead accounting path — one
 
 from __future__ import annotations
 
-from ..trace.records import LaunchRecord
+from ..trace.records import LAUNCH_FIELDS, LaunchRecord
 from ..trace.tracer import Tracer
 
 __all__ = ["LaunchLedger", "attach_ledger"]
 
 #: counter fields whose per-charge deltas are recorded, matching
-#: :meth:`~repro.device.KernelCounters.snapshot` keys exactly.
-_DELTA_FIELDS = (
-    "kernel_launches",
-    "global_barriers",
-    "edge_work",
-    "vertex_work",
-    "bytes_moved",
-    "atomics",
-    "serial_work",
-    "rounds",
-    "blocks_scheduled",
-    "bytes_streamed",
-)
-
-
 class LaunchLedger:
     """Records one :class:`~repro.trace.LaunchRecord` per device charge.
 
@@ -61,7 +46,7 @@ class LaunchLedger:
                 kind=kind,
                 path=self.tracer.current_path(),
                 span_id=self.tracer.current_span_id,
-                **{f: after[f] - before[f] for f in _DELTA_FIELDS},
+                **{f: after[f] - before[f] for f in LAUNCH_FIELDS},
             )
         )
 

@@ -205,7 +205,8 @@ def render_profile(report: ProfileReport, *, width: int = 44) -> str:
     return "\n".join(lines)
 
 
-def _prom_escape(value: str) -> str:
+def prom_escape(value: str) -> str:
+    """Escape a label value or HELP text for the Prometheus text format."""
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
@@ -217,7 +218,7 @@ def to_prometheus(report: ProfileReport, *, prefix: str = "repro_profile") -> st
         f"# TYPE {prefix}_phase_seconds gauge",
     ]
     for ph in report.phases:
-        phase = _prom_escape(ph.name)
+        phase = prom_escape(ph.name)
         for term in TERM_NAMES:
             lines.append(
                 f'{prefix}_phase_seconds{{phase="{phase}",resource="{term}"}}'
@@ -229,7 +230,7 @@ def to_prometheus(report: ProfileReport, *, prefix: str = "repro_profile") -> st
     lines.append(f"# TYPE {prefix}_phase_launches gauge")
     for ph in report.phases:
         lines.append(
-            f'{prefix}_phase_launches{{phase="{_prom_escape(ph.name)}"}}'
+            f'{prefix}_phase_launches{{phase="{prom_escape(ph.name)}"}}'
             f" {ph.launches}"
         )
     lines.append(

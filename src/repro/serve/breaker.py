@@ -14,8 +14,9 @@ starving healthy workloads and inflating everyone's tail latency.  The
 * **HALF_OPEN** — exactly one probe job is in flight; its success
   closes the breaker, its failure re-opens it for another cooldown.
 
-Every transition is recorded (service metrics + trace counters) and
-listed in :meth:`CircuitBreaker.as_dict` for the service report.
+Every transition is one ``serve:breaker-*`` service event (see
+:data:`repro.serve.metrics.EVENT_TABLE`) and is listed in
+:meth:`CircuitBreaker.as_dict` for the service report.
 """
 
 from __future__ import annotations

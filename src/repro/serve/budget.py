@@ -18,6 +18,7 @@ semantics and their rationale).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Budget", "BudgetExceeded", "BudgetLedger", "UNLIMITED"]
@@ -108,6 +109,15 @@ class BudgetLedger:
         )
         row["model_seconds"] += float(model_seconds)
         row["bytes"] += float(bytes)
+
+    def utilization(self, tenant: str) -> "float | None":
+        """Model-seconds spend / limit; None before the first charge or
+        for an unlimited or zero limit."""
+        row = self._spent.get(tenant)
+        limit = self.budget_of(tenant).model_seconds
+        if row is None or not (math.isfinite(limit) and limit > 0):
+            return None
+        return row["model_seconds"] / limit
 
     def snapshot(self) -> "dict[str, dict[str, float]]":
         """Spend by tenant (JSON-safe copy)."""

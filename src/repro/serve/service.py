@@ -49,10 +49,10 @@ recomputes from exactly the pre-attempt graph, and committed
 generations advance once per *successful* attempt.  Crashed attempts
 still charge their tenant for the wasted work.
 
-Every decision lands three ways: the job's own decision history
-(:meth:`~repro.serve.jobs.Job.artifact`), the aggregate
-:class:`~repro.serve.metrics.ServiceMetrics` counters, and ``serve:*``
-trace counters when a tracer is attached.  See ``docs/serve.md``.
+Every decision is emitted once, by :meth:`SccService._emit`, into the
+job's decision history (:meth:`~repro.serve.jobs.Job.artifact`), the
+:class:`~repro.serve.metrics.ServiceMetrics` counters, one ``serve:*``
+trace counter and the :attr:`SccService.events` log.  See ``docs/serve.md``.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ from ..graph.csr import CSRGraph
 from ..profile.report import profile_run
 from ..results import AlgoResult
 from ..trace import Tracer, ensure_tracer
-from .breaker import CircuitBreaker
+from .breaker import BreakerState, CircuitBreaker
 from .budget import Budget, BudgetLedger
 from .cache import DEFAULT_CACHE_BYTES, CacheEntry, SolveCache
 from .jobs import Job, JobKind, JobSpec, JobState
-from .metrics import ServiceMetrics
+from .metrics import ServeEvent, ServiceMetrics, event_counters
 from .queues import BoundedQueue, ShedPolicy
 from .workers import WorkerPool
 
@@ -215,6 +215,8 @@ class SccService:
         self.merge_updates = int(merge_updates)
         self.default_deadline_s = default_deadline_s
         self.metrics = ServiceMetrics()
+        #: append-only log of every emitted decision (see :meth:`_emit`)
+        self.events: "list[ServeEvent]" = []
         #: duck-typed observability hook (e.g. ``repro.obs.ObsRecorder``):
         #: any object with ``on_event(service)`` — called after every
         #: simulated event the run loop processes.  Kept duck-typed so
@@ -229,7 +231,6 @@ class SccService:
         #: graph name -> (in-flight read leader, generation it
         #: observed, simulated time its completion event fires)
         self._inflight_reads: "dict[str, tuple[Job, int, float]]" = {}
-        self._shed_wait_s = 0.0
         self.jobs: "list[Job]" = []
         self.now = 0.0
         self._heap: "list[tuple[float, int, str, Any]]" = []
@@ -275,6 +276,10 @@ class SccService:
 
     def set_budget(self, tenant: str, budget: Budget) -> None:
         self.ledger.set_budget(tenant, budget)
+
+    def budget_utilization(self, tenant: str) -> "float | None":
+        """*tenant*'s :meth:`BudgetLedger.utilization` (model seconds)."""
+        return self.ledger.utilization(tenant)
 
     def breaker_for(self, workload: str) -> CircuitBreaker:
         br = self._breakers.get(workload)
@@ -327,7 +332,8 @@ class SccService:
         self._ran = True
         self.metrics.gauge("queue_peak_depth", self.queue.peak_depth)
         self.metrics.gauge("makespan_s", self.now)
-        self.metrics.gauge("shed_wait_s_total", self._shed_wait_s)
+        self.metrics.gauge("shed_wait_s_total", sum(
+            ev.detail["waited_s"] for ev in self.events if ev.event == "shed"))
         if self.cache is not None:
             self.metrics.gauge("cache_bytes", self.cache.bytes)
             self.metrics.gauge("cache_entries", len(self.cache))
@@ -348,49 +354,50 @@ class SccService:
     # ------------------------------------------------------------------
     # decision recording
     # ------------------------------------------------------------------
-    def _decide(self, job: Job, decision: str, **detail: Any) -> None:
-        job.record(self.now, decision, **detail)
-        self._tr.counter(f"serve:{decision}", job=job.id, **detail)
+    def _emit(
+        self, event: str, job: "Job | None" = None, n: int = 1, **detail: Any
+    ) -> None:
+        """Record one decision, the only code that does: *job*'s history,
+        the counters :data:`~repro.serve.metrics.EVENT_TABLE` maps *event*
+        to (each by *n*), one ``serve:<event>`` trace record, and the
+        :attr:`events` log."""
+        counters = event_counters(event, detail.get("reason"))
+        for name in counters:
+            self.metrics.incr(name, n)
+        if job is not None:
+            job.record(self.now, event, **detail)
+        self._tr.counter(f"serve:{event}", **({} if job is None else {"job": job.id}), **detail)
+        self.events.append(ServeEvent(self.now, event, job, n, counters, detail))
 
     def _shed(self, job: Job, reason: str) -> None:
-        counter = (
-            "shed_breaker" if reason == "breaker-open" else "shed_backpressure"
-        )
-        self.metrics.incr(counter)
         # the victim's queue-wait rides its SHED record — shed work is
         # work the service made wait and then threw away
         waited_s = (
             max(self.now - job.queued_at, 0.0)
             if job.queued_at is not None else 0.0
         )
-        self._shed_wait_s += waited_s
-        self._decide(job, "shed", reason=reason, waited_s=waited_s)
+        self._emit("shed", job, reason=reason, waited_s=waited_s)
         job.finish(self.now, JobState.SHED, reason)
 
     def _dead_letter(self, job: Job, reason: str) -> None:
-        self.metrics.incr("dead_letter")
-        if reason == "deadline":
-            self.metrics.incr("deadline_expired")
-        self._decide(job, "dead-letter", reason=reason)
+        self._emit("dead-letter", job, reason=reason)
         job.finish(self.now, JobState.DEAD_LETTER, reason)
 
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, job: Job) -> None:
-        self.metrics.incr("submitted")
-        self._decide(job, "submit", tenant=job.spec.tenant,
-                     kind=str(job.spec.kind), graph=job.spec.graph)
+        self._emit("submit", job, tenant=job.spec.tenant,
+                   kind=str(job.spec.kind), graph=job.spec.graph)
         self._admit(job)
 
     def _admit(self, job: Job) -> None:
         """Budget gate, then the bounded queue (breakers gate dispatch)."""
         exceeded = self.ledger.check(job.spec.tenant)
         if exceeded is not None:
-            self.metrics.incr("rejected_budget")
             job.error = exceeded.as_dict()
-            self._decide(job, "reject-budget", resource=exceeded.resource,
-                         limit=exceeded.limit, spent=exceeded.spent)
+            self._emit("reject-budget", job, resource=exceeded.resource,
+                       limit=exceeded.limit, spent=exceeded.spent)
             job.finish(self.now, JobState.REJECTED, "budget")
             return
         victim = self.queue.offer(
@@ -401,13 +408,12 @@ class SccService:
             if victim is job:
                 return
         job.state = JobState.QUEUED
-        self.metrics.incr("admitted")
-        self._decide(job, "admit", depth=len(self.queue))
+        self._emit("admit", job, depth=len(self.queue))
         self._dispatch()
 
     def _on_retry(self, job: Job) -> None:
         """A backoff wait elapsed: re-admit through the same gates."""
-        self._decide(job, "retry", attempt=job.attempts)
+        self._emit("retry", job, attempt=job.attempts)
         self._admit(job)
 
     def _dispatch(self) -> None:
@@ -436,9 +442,12 @@ class SccService:
                 continue
             if self.breakers_enabled:
                 breaker = self.breaker_for(job.spec.workload)
+                was_open = breaker.state is BreakerState.OPEN
                 if not breaker.allow(self.now):
                     self._shed(job, "breaker-open")
                     continue
+                if was_open:  # the cooldown elapsed: this job is the probe
+                    self._emit("breaker-half-open", workload=breaker.workload)
             merge_followers: "list[Job]" = []
             if (
                 self.coalesce_enabled
@@ -524,9 +533,8 @@ class SccService:
 
     def _serve_cache_hit(self, job: Job, entry: CacheEntry) -> None:
         """Complete *job* from the cache: zero device cost, no worker."""
-        self.metrics.incr("cache_hits")
-        self._decide(job, "cache_hit", graph=job.spec.graph,
-                     generation=entry.generation)
+        self._emit("cache_hit", job, graph=job.spec.graph,
+                   generation=entry.generation)
         job.attempts_detail.append({
             "cache_hit": True,
             "t_complete": self.now,
@@ -536,14 +544,12 @@ class SccService:
         job.result = AlgoResult(
             labels=entry.labels.copy(), num_sccs=entry.num_sccs
         )
-        self.metrics.incr("completed")
-        self._decide(job, "complete", attempt=job.attempts, service_s=0.0)
+        self._emit("complete", job, attempt=job.attempts, service_s=0.0)
         job.finish(self.now, JobState.DONE)
 
     def _attach_follower(self, leader: Job, job: Job) -> None:
         """Coalesce *job* onto the in-flight read *leader*."""
-        self.metrics.incr("coalesced_reads")
-        self._decide(job, "coalesce_attach", leader=leader.id)
+        self._emit("coalesce_attach", job, leader=leader.id)
         job.state = JobState.RUNNING
         self._followers[leader.id].append(job)
 
@@ -586,9 +592,7 @@ class SccService:
 
         followers = self.queue.extract(mergeable)
         for i, job in enumerate(followers, start=1):
-            self.metrics.incr("coalesced_updates")
-            self._decide(job, "coalesce_merge", leader=leader.id,
-                         merge_index=i)
+            self._emit("coalesce_merge", job, leader=leader.id, merge_index=i)
             job.state = JobState.RUNNING
         return followers
 
@@ -600,8 +604,7 @@ class SccService:
     ) -> None:
         job.state = JobState.RUNNING
         job.attempts += 1
-        self.metrics.incr("dispatched")
-        self._decide(job, "dispatch", worker=worker.id, attempt=job.attempts)
+        self._emit("dispatch", job, worker=worker.id, attempt=job.attempts)
         kind = job.spec.kind
         merge_followers = merge_followers or []
         self._followers[job.id] = merge_followers
@@ -631,7 +634,7 @@ class SccService:
         ):
             if float(self._rng.random()) < self.plan.message_delay_rate:
                 delay_s = service_s * (0.5 + 1.5 * float(self._rng.random()))
-                self.metrics.incr("delayed")
+                self._emit("delay", worker=worker.id, delay_s=delay_s)
         if crashed and kind is JobKind.UPDATE:
             # roll the handle back: a crashed update commits nothing —
             # merged constituents included, the checkpoint predates the
@@ -656,9 +659,8 @@ class SccService:
                     job.spec.graph, handle.generation
                 )
                 if dropped:
-                    self.metrics.incr("cache_invalidations", dropped)
-                    self._tr.counter("serve:cache_invalidation",
-                                     graph=job.spec.graph, dropped=dropped)
+                    self._emit("cache_invalidation", n=dropped,
+                               graph=job.spec.graph, dropped=dropped)
         job.attempts_detail.append({
             "attempt": job.attempts,
             "t_dispatch": self.now,
@@ -693,7 +695,8 @@ class SccService:
             # the dispatch sweep already proved there is no usable
             # entry: one miss per actual read execution, not per probe
             self.cache.count_miss()
-            self.metrics.incr("cache_misses")
+            self._emit("cache_miss", graph=job.spec.graph,
+                       generation=handle.generation)
         if kind is JobKind.SOLVE:
             from ..bench.runners import run_algorithm
 
@@ -782,20 +785,17 @@ class SccService:
                 )
             worker.jobs_done += 1
             if breaker is not None:
-                was_open = breaker.state.value != "closed"
+                was_open = breaker.state is not BreakerState.CLOSED
                 breaker.record_success(self.now)
                 if was_open:
-                    self.metrics.incr("breaker_closed")
-                    self._tr.counter("serve:breaker-closed",
-                                     workload=breaker.workload)
-            self.metrics.incr("completed")
+                    self._emit("breaker-closed", workload=breaker.workload)
             if kind is JobKind.UPDATE:
                 job.result = payload["reports"]
             else:
                 job.result = payload["result"]
-            self._decide(job, "complete", attempt=job.attempts,
-                         service_s=charges["model_seconds"],
-                         **({"coalesced": len(followers)} if followers else {}))
+            self._emit("complete", job, attempt=job.attempts,
+                       service_s=charges["model_seconds"],
+                       **({"coalesced": len(followers)} if followers else {}))
             job.finish(self.now, JobState.DONE)
             for i, follower in enumerate(followers, start=1):
                 self._complete_follower(job, follower, payload, charges,
@@ -816,21 +816,15 @@ class SccService:
         if followers:
             for follower in followers:
                 follower.state = JobState.QUEUED
-                self.metrics.incr("coalesce_requeued")
-                self._decide(follower, "coalesce_requeue", leader=job.id)
+                self._emit("coalesce_requeue", follower, leader=job.id)
             self.queue.requeue(followers)
         worker.crashes += 1
-        self.metrics.incr("crashed")
-        self._decide(job, "crash", attempt=job.attempts, worker=worker.id)
+        self._emit("crash", job, attempt=job.attempts, worker=worker.id)
         if breaker is not None:
-            before = breaker.state.value
+            probe = breaker.state is BreakerState.HALF_OPEN
             if breaker.record_failure(self.now):
-                self.metrics.incr(
-                    "breaker_reopened" if before == "half-open"
-                    else "breaker_opened"
-                )
-                self._tr.counter("serve:breaker-opened",
-                                 workload=breaker.workload)
+                self._emit("breaker-reopened" if probe else "breaker-opened",
+                           workload=breaker.workload)
         retries_so_far = job.attempts - 1
         max_retries = self.plan.max_retries if self.plan is not None else 0
         if retries_so_far >= max_retries:
@@ -847,9 +841,7 @@ class SccService:
             self._dispatch()
             return
         job.state = JobState.RETRY_WAIT
-        self.metrics.incr("retries")
-        self._decide(job, "retry-scheduled", attempt=job.attempts,
-                     wait_s=wait_s)
+        self._emit("retry-scheduled", job, attempt=job.attempts, wait_s=wait_s)
         self._schedule(retry_at, "retry", job)
         self._dispatch()
 
@@ -874,8 +866,7 @@ class SccService:
                 labels=result.labels.copy(), num_sccs=result.num_sccs
             )
         job.attempts_detail.append(detail)
-        self.metrics.incr("completed")
-        self._decide(job, "complete", leader=leader.id, service_s=0.0)
+        self._emit("complete", job, leader=leader.id, service_s=0.0)
         job.finish(self.now, JobState.DONE)
 
     def _cache_put(self, job: Job, payload) -> None:
@@ -899,10 +890,8 @@ class SccService:
             entry,
         )
         if evicted:
-            self.metrics.incr("cache_evictions", len(evicted))
-            self._tr.counter("serve:cache_eviction", count=len(evicted))
-        self._tr.counter("serve:cache_put", graph=graph,
-                         generation=generation)
+            self._emit("cache_eviction", n=len(evicted), count=len(evicted))
+        self._emit("cache_put", graph=graph, generation=generation)
 
     # ------------------------------------------------------------------
     def to_prometheus(self, *, prefix: str = "repro_serve") -> str:

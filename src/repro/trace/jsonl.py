@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Union
 
 from .records import (
+    LAUNCH_FIELDS,
     SCHEMA_VERSION,
     EventRecord,
     LaunchRecord,
@@ -48,22 +49,6 @@ from .records import (
 __all__ = ["dump_jsonl", "dumps_jsonl", "load_jsonl", "loads_jsonl"]
 
 PathLike = Union[str, Path]
-
-#: counter-delta fields of a launch line, in emission order; zero deltas
-#: are omitted from the JSON to keep ledger lines short.
-_LAUNCH_FIELDS = (
-    "kernel_launches",
-    "global_barriers",
-    "edge_work",
-    "vertex_work",
-    "bytes_moved",
-    "atomics",
-    "serial_work",
-    "rounds",
-    "blocks_scheduled",
-    "bytes_streamed",
-)
-
 
 def _json_default(value: Any) -> Any:
     if hasattr(value, "item"):  # numpy scalar
@@ -105,7 +90,7 @@ def _launch_obj(rec: LaunchRecord) -> "dict[str, Any]":
         "path": list(rec.path),
         "span": rec.span_id,
     }
-    for name in _LAUNCH_FIELDS:
+    for name in LAUNCH_FIELDS:  # zero deltas omitted: short ledger lines
         value = getattr(rec, name)
         if value:
             obj[name] = value
@@ -222,7 +207,7 @@ def loads_jsonl(text: str) -> Trace:
                     kind=obj["kind"],
                     path=tuple(obj.get("path", ())),
                     span_id=None if obj.get("span") is None else int(obj["span"]),
-                    **{f: int(obj.get(f, 0)) for f in _LAUNCH_FIELDS},
+                    **{f: int(obj.get(f, 0)) for f in LAUNCH_FIELDS},
                 )
             )
         elif kind == "sample":

@@ -23,6 +23,7 @@ __all__ = [
     "COUNTER",
     "GAUGE",
     "SCHEMA_VERSION",
+    "LAUNCH_FIELDS",
 ]
 
 #: event kinds
@@ -101,6 +102,13 @@ class EventRecord:
     attrs: "dict[str, Any]" = field(default_factory=dict)
 
 
+#: the device-counter fields of a :class:`LaunchRecord`, in
+#: :meth:`~repro.device.KernelCounters.snapshot` order
+LAUNCH_FIELDS = ("kernel_launches", "global_barriers", "edge_work", "vertex_work",
+                 "bytes_moved", "atomics", "serial_work", "rounds", "blocks_scheduled",
+                 "bytes_streamed")
+
+
 @dataclass
 class LaunchRecord:
     """One device charge (kernel launch, in-kernel work, or serial step).
@@ -165,6 +173,18 @@ class TimelineRecord:
     segments: "tuple[tuple[str, float, float], ...]" = ()
 
 
+def _name_chain(
+    span: SpanRecord, by_id: "dict[int, SpanRecord]"
+) -> "tuple[str, ...]":
+    """Span names from the root down to *span*, walking parent ids."""
+    names: "list[str]" = []
+    cur: "SpanRecord | None" = span
+    while cur is not None:
+        names.append(cur.name)
+        cur = by_id.get(cur.parent_id) if cur.parent_id is not None else None
+    return tuple(reversed(names))
+
+
 @dataclass
 class Trace:
     """A finished trace: spans in start order plus counter/gauge events.
@@ -213,17 +233,13 @@ class Trace:
 
     def span_path(self, span: SpanRecord) -> "tuple[str, ...]":
         """Name chain from the root down to *span*."""
-        by_id = {s.span_id: s for s in self.spans}
-        names: "list[str]" = []
-        cur: "SpanRecord | None" = span
-        while cur is not None:
-            names.append(cur.name)
-            cur = by_id.get(cur.parent_id) if cur.parent_id is not None else None
-        return tuple(reversed(names))
+        return _name_chain(span, {s.span_id: s for s in self.spans})
 
     def iter_paths(self) -> "Iterator[tuple[tuple[str, ...], SpanRecord]]":
+        """``(span_path(s), s)`` for every span, indexing spans once."""
+        by_id = {s.span_id: s for s in self.spans}
         for s in self.spans:
-            yield self.span_path(s), s
+            yield _name_chain(s, by_id), s
 
     # ------------------------------------------------------------------
     # JSONL convenience (implementation in repro.trace.jsonl)

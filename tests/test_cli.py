@@ -54,6 +54,20 @@ class TestScc:
         with pytest.raises(SystemExit):
             main(["scc", str(p)])
 
+    def test_missing_file_is_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.mtx"
+        assert main(["scc", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and str(missing) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_malformed_edge_list_is_one_line_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_text("0 1\n1 x\n")
+        assert main(["scc", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: {p}: could not parse edge list\n"
+
     def test_forced_format(self, tmp_path, capsys):
         p = tmp_path / "g.weird"
         write_edge_list(p, cycle_graph(5))

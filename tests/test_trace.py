@@ -102,6 +102,30 @@ class TestSpanNesting:
         assert [s.name for s in kids] == ["inner", "inner"]
         assert trace.span_path(trace.spans[1]) == ("outer", "inner")
 
+    def test_iter_paths_matches_span_path(self):
+        tr = Tracer()
+        with tr.span("a"):
+            with tr.span("b"):
+                with tr.span("c"):
+                    pass
+            with tr.span("d"):
+                pass
+        trace = tr.finish()
+        paths = [path for path, _ in trace.iter_paths()]
+        assert paths == [trace.span_path(s) for s in trace.spans]
+        assert paths == [("a",), ("a", "b"), ("a", "b", "c"), ("a", "d")]
+
+
+def test_launch_fields_are_the_device_counters():
+    """One field list serves the ledger, JSONL, attribution and Perfetto."""
+    from dataclasses import fields
+
+    from repro.device import KernelCounters
+    from repro.trace.records import LAUNCH_FIELDS, LaunchRecord
+
+    assert LAUNCH_FIELDS == tuple(KernelCounters().snapshot())
+    assert LAUNCH_FIELDS == tuple(f.name for f in fields(LaunchRecord))[4:]
+
 
 class TestJsonlRoundTrip:
     def make_trace(self):
