@@ -455,8 +455,7 @@ def propagate_adaptive(
     """
     bound = opts.rounds_bound(num_vertices)
     tally = scheduler is not None and not recovery
-    src, dst = grouping.src, grouping.dst
-    indptr, edge_ids = build_vertex_incidence(src, dst, num_vertices)
+    indptr, edge_ids = build_vertex_incidence(grouping, num_vertices)
     frontier = VertexFrontier.seeded(seed, num_vertices)
     charge_frontier_compaction(
         dev, backend, num_vertices=num_vertices, frontier_size=frontier.size,

@@ -571,34 +571,15 @@ class DynamicGraph:
         is proportional to the probed volume, not the resident edge
         count — batches must not pay O(|E|).
         """
-        n = max(self._n, 1)
-        resident = self._src.astype(np.int64) * n + self._dst
-        requested = s.astype(np.int64) * n + d
-        order = np.argsort(resident, kind="stable")
-        sorted_keys = resident[order]
-        uniq, counts = np.unique(requested, return_counts=True)
-        left = np.searchsorted(sorted_keys, uniq, side="left")
-        right = np.searchsorted(sorted_keys, uniq, side="right")
-        short = (right - left) < counts
-        if short.any():
-            missing = int(uniq[short][0])
-            raise GraphValidationError(
-                f"cannot delete edge ({missing // n} -> {missing % n}):"
-                " fewer resident instances than requested"
-            )
+        remove_idx = resident_instances(self._n, self._src, self._dst, s, d)
         probed = int(np.count_nonzero(np.isin(self._src, s)))
         charge_update_delete(
             self._device, probed=probed, requested=int(s.size),
         )
-        # the k-th duplicate request claims the k-th resident instance
-        offsets = np.repeat(left, counts) + ragged_arange(counts)
-        remove_idx = order[offsets]
-        removed_s = self._src[remove_idx].copy()
-        removed_d = self._dst[remove_idx].copy()
-        keep = np.ones(self._src.size, dtype=bool)
-        keep[remove_idx] = False
-        self._src = self._src[keep]
-        self._dst = self._dst[keep]
+        removed_s = self._src[remove_idx]
+        removed_d = self._dst[remove_idx]
+        self._src = np.delete(self._src, remove_idx)
+        self._dst = np.delete(self._dst, remove_idx)
         return removed_s, removed_d
 
     def _condensation(self) -> _CondCache:
@@ -841,6 +822,39 @@ class DynamicGraph:
         self._cond = None  # components split: the mapping itself changed
         split = int(res.num_sccs) - int(affected_components)
         return max(split, 0), changed, int(ids.size), int(sub.num_edges)
+
+
+def resident_instances(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    rem_src: np.ndarray,
+    rem_dst: np.ndarray,
+) -> np.ndarray:
+    """Indices of one resident ``src[i] -> dst[i]`` edge per requested pair.
+
+    Multiset semantics: the k-th duplicate request claims the k-th
+    resident instance of its pair.  Strict: a pair requested more often
+    than it is resident raises
+    :class:`~repro.errors.GraphValidationError`.  Host-side only; callers
+    charge the device themselves.
+    """
+    stride = max(n, 1)
+    resident = src.astype(np.int64) * stride + dst
+    order = np.argsort(resident, kind="stable")
+    sorted_keys = resident[order]
+    requested = rem_src.astype(np.int64) * stride + rem_dst
+    uniq, counts = np.unique(requested, return_counts=True)
+    left = np.searchsorted(sorted_keys, uniq, side="left")
+    right = np.searchsorted(sorted_keys, uniq, side="right")
+    short = (right - left) < counts
+    if short.any():
+        missing = int(uniq[short][0])
+        raise GraphValidationError(
+            f"cannot delete edge ({missing // stride} -> {missing % stride}):"
+            " fewer resident instances than requested"
+        )
+    return order[np.repeat(left, counts) + ragged_arange(counts)]
 
 
 def _gather_neighbors(

@@ -161,12 +161,20 @@ def scatter_round(
     :func:`scatter_max`, then (with *compress*) pointer doubling and
     signature feedback restricted to the edges' endpoints.  Returns
     ``(changed_v, compress_work)``.
+
+    Both compression steps are idempotent under repeated vertices, so
+    the host runs them once per distinct endpoint (a vertex mark array,
+    no sort); ``compress_work`` still charges the device kernel's one
+    thread per edge endpoint, ``2 * (s.size + d.size)``.
     """
     changed_v = scatter_max(sigs, s, d, num_vertices, compress=compress)
     if not (compress and s.size):
         return changed_v, 0
     sig_in, sig_out = sigs.sig_in, sigs.sig_out
-    e = np.concatenate([s, d])
+    endpoint = np.zeros(num_vertices, dtype=bool)
+    endpoint[s] = True
+    endpoint[d] = True
+    e = np.flatnonzero(endpoint)
     # pointer doubling restricted to the active endpoints
     ji = sig_in[sig_in[e]]
     upd = ji > sig_in[e]
@@ -177,7 +185,7 @@ def scatter_round(
     sig_out[e[upd]] = jo[upd]
     changed_v[e[upd]] = True
     changed_v |= sigs.feedback(e)
-    return changed_v, 2 * e.size
+    return changed_v, 2 * (s.size + d.size)
 
 
 class PropagationPolicy:

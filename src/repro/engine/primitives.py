@@ -648,27 +648,40 @@ def scc_edge_filter_mask(
 # ---------------------------------------------------------------------------
 
 def build_vertex_incidence(
-    src: np.ndarray,
-    dst: np.ndarray,
-    num_vertices: int,
+    grouping, num_vertices: int
 ) -> "tuple[np.ndarray, np.ndarray]":
     """CSR-style incidence index: vertex -> ids of edges touching it.
 
     Each edge id appears once under its source and once under its
     destination (a self-loop appears twice), so gathering a vertex
     frontier's buckets yields every edge a signature change at those
-    vertices could re-relax.  Returns ``(indptr, edge_ids)`` with
-    ``indptr`` of length ``num_vertices + 1``.  Built once per Phase-3
-    compaction by the frontier engine (charged by the caller as part of
-    the compaction pass).
+    vertices could re-relax.  Within a bucket the out-edges come first,
+    then the in-edges, each in edge-id order.  Returns
+    ``(indptr, edge_ids)`` with ``indptr`` of length
+    ``num_vertices + 1``.  Built once per Phase-3 compaction by the
+    frontier engine (charged by the caller as part of the compaction
+    pass).
+
+    *grouping* is the worklist's
+    :class:`~repro.core.propagation.EdgeGrouping` (duck-typed: ``src``,
+    ``dst`` and their stable sort orders ``order_by_src`` /
+    ``order_by_dst``).  Those orders already list each vertex's out- and
+    in-edges in id order, so the index is two ragged scatters into the
+    buckets and needs no sort of its own.
     """
-    endpoints = np.concatenate([src, dst])
-    eids = np.concatenate([np.arange(src.size), np.arange(dst.size)])
-    order = np.argsort(endpoints, kind="stable")
-    counts = np.bincount(endpoints, minlength=num_vertices)
+    out_deg = np.bincount(grouping.src, minlength=num_vertices)
+    in_deg = np.bincount(grouping.dst, minlength=num_vertices)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, eids[order]
+    np.cumsum(out_deg + in_deg, out=indptr[1:])
+    starts = indptr[:-1]
+    edge_ids = np.empty(2 * grouping.src.size, dtype=np.int64)
+    edge_ids[np.repeat(starts, out_deg) + ragged_arange(out_deg)] = (
+        grouping.order_by_src
+    )
+    edge_ids[np.repeat(starts + out_deg, in_deg) + ragged_arange(in_deg)] = (
+        grouping.order_by_dst
+    )
+    return indptr, edge_ids
 
 
 def incident_edges(
@@ -676,11 +689,15 @@ def incident_edges(
     edge_ids: np.ndarray,
     frontier: np.ndarray,
 ) -> np.ndarray:
-    """Unique ids of edges incident to the *frontier* vertices.
+    """Sorted unique ids of edges incident to the *frontier* vertices.
 
     The frontier engine's per-round gather: expand each frontier
     vertex's incidence bucket and deduplicate (an edge whose endpoints
-    are both in the frontier is relaxed once, not twice).
+    are both in the frontier is relaxed once, not twice).  The dedup is
+    a mark array over the worklist edges (each listed twice in
+    *edge_ids*), the host form of a GPU visited bitmap: no sort and no
+    hash, so a round costs one pass over the worklist flags plus its
+    gathered buckets.
     """
     if frontier.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -689,4 +706,6 @@ def incident_edges(
     if total == 0:
         return np.empty(0, dtype=np.int64)
     offsets = np.repeat(indptr[frontier], counts) + ragged_arange(counts)
-    return np.unique(edge_ids[offsets])
+    hit = np.zeros(edge_ids.size // 2, dtype=bool)
+    hit[edge_ids[offsets]] = True
+    return np.flatnonzero(hit)

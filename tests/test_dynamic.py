@@ -442,6 +442,37 @@ class TestEdgeLog:
         deltas = int(np.sum(log.op))
         assert final.num_edges == g.num_edges + deltas
 
+    def test_final_graph_matches_dynamic_handle_edges(self):
+        """The log and the handle share one resident-pair removal."""
+        g = random_gnm(25, 70, seed=4)
+        log = generate_edge_log(g, events=60, seed=4, insert_fraction=0.3)
+        dg = DynamicGraph(g)
+        for op, s, d in zip(log.op, log.src, log.dst):
+            apply = dg.insert_edges if op > 0 else dg.delete_edges
+            apply([s], [d])
+        n = g.num_vertices
+
+        def keys(src, dst):
+            return np.sort(src.astype(np.int64) * n + dst)
+
+        final_src, final_dst = log.final_graph().edges()
+        handle_src, handle_dst = dg.graph().edges()
+        assert np.array_equal(
+            keys(final_src, final_dst), keys(handle_src, handle_dst)
+        )
+
+    def test_final_graph_rejects_non_resident_delete(self):
+        g = path_graph(4)
+        log = EdgeLog(
+            base=g,
+            time=np.zeros(1),
+            op=np.asarray([-1], dtype=np.int8),
+            src=np.asarray([3]),
+            dst=np.asarray([0]),
+        )
+        with pytest.raises(GraphValidationError, match="cannot delete"):
+            log.final_graph()
+
 
 class TestReplay:
     def test_replay_verifies_bit_identity(self):

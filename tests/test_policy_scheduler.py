@@ -26,8 +26,10 @@ from repro.engine.policy import (
     get_policy,
     policy_names,
     register_policy,
+    scatter_max,
+    scatter_round,
 )
-from repro.engine.primitives import build_vertex_incidence
+from repro.engine.primitives import build_vertex_incidence, incident_edges
 from repro.engine.scheduler import (
     DENSITY_THRESHOLD,
     LAUNCH_BOUND_RATIO,
@@ -98,7 +100,7 @@ def _run_policy_schedule(graph: CSRGraph, schedule, *, compress=True):
     src, dst = graph.edges()
     sigs = Signatures.identity(n)
     grouping = EdgeGrouping.build(src, dst)
-    indptr, edge_ids = build_vertex_incidence(src, dst, n)
+    indptr, edge_ids = build_vertex_incidence(grouping, n)
     dev = VirtualDevice(A100)
     state = RoundState(
         sigs=sigs, grouping=grouping, indptr=indptr, edge_ids=edge_ids,
@@ -135,6 +137,145 @@ def test_any_policy_schedule_reaches_same_fixed_point(compress):
             else:
                 assert np.array_equal(sigs.sig_in, ref.sig_in), name
                 assert np.array_equal(sigs.sig_out, ref.sig_out), name
+
+
+# ---------------------------------------------------------------------------
+# sort-free frontier gathers: equivalence with the sorting references
+# ---------------------------------------------------------------------------
+
+def _messy_edges(seed: int):
+    """Random edges with self-loops, parallel edges and isolated vertices."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    live = int(rng.integers(1, n + 1))  # vertices >= live stay isolated
+    m = int(rng.integers(0, 4 * n))
+    src = rng.integers(0, live, m)
+    dst = rng.integers(0, live, m)
+    if m:
+        loops = rng.integers(0, live, 1 + m // 8)
+        twins = rng.integers(0, m, 1 + m // 4)
+        src = np.concatenate([src, loops, src[twins]])
+        dst = np.concatenate([dst, loops, dst[twins]])
+    return n, src.astype(np.int64), dst.astype(np.int64), rng
+
+
+def _argsort_incidence(src, dst, n):
+    """The incidence CSR as one stable argsort over both endpoint lists."""
+    endpoints = np.concatenate([src, dst])
+    eids = np.concatenate([np.arange(src.size), np.arange(dst.size)])
+    order = np.argsort(endpoints, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(endpoints, minlength=n), out=indptr[1:])
+    return indptr, eids[order]
+
+
+def _frontiers(n, rng):
+    yield "empty", np.empty(0, dtype=np.int64)
+    yield "single", np.asarray([int(rng.integers(0, n))], dtype=np.int64)
+    yield "random", np.flatnonzero(rng.random(n) < 0.3)
+    yield "full", np.arange(n, dtype=np.int64)
+
+
+SEEDS = range(40)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vertex_incidence_matches_argsort_reference(seed):
+    n, src, dst, _ = _messy_edges(seed)
+    indptr, edge_ids = build_vertex_incidence(EdgeGrouping.build(src, dst), n)
+    ref_indptr, ref_ids = _argsort_incidence(src, dst, n)
+    assert np.array_equal(indptr, ref_indptr)
+    assert np.array_equal(edge_ids, ref_ids)
+    assert edge_ids.dtype == ref_ids.dtype
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_incident_edges_match_unique_reference(seed):
+    n, src, dst, rng = _messy_edges(seed)
+    indptr, edge_ids = build_vertex_incidence(EdgeGrouping.build(src, dst), n)
+    for name, frontier in _frontiers(n, rng):
+        got = incident_edges(indptr, edge_ids, frontier)
+        hit = np.isin(src, frontier) | np.isin(dst, frontier)
+        ref = np.unique(np.flatnonzero(hit))
+        assert np.array_equal(got, ref), name
+        assert got.dtype == np.int64, name
+
+
+def _duplicate_endpoint_scatter_round(sigs, s, d, num_vertices, *, compress):
+    """scatter_round compressing over ``[s; d]`` with its duplicates."""
+    changed_v = scatter_max(sigs, s, d, num_vertices, compress=compress)
+    if not (compress and s.size):
+        return changed_v, 0
+    sig_in, sig_out = sigs.sig_in, sigs.sig_out
+    e = np.concatenate([s, d])
+    ji = sig_in[sig_in[e]]
+    upd = ji > sig_in[e]
+    sig_in[e[upd]] = ji[upd]
+    changed_v[e[upd]] = True
+    jo = sig_out[sig_out[e]]
+    upd = jo > sig_out[e]
+    sig_out[e[upd]] = jo[upd]
+    changed_v[e[upd]] = True
+    changed_v |= sigs.feedback(e)
+    return changed_v, 2 * e.size
+
+
+@pytest.mark.parametrize("compress", (False, True))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scatter_round_matches_duplicate_endpoint_reference(seed, compress):
+    n, src, dst, rng = _messy_edges(seed)
+    indptr, edge_ids = build_vertex_incidence(EdgeGrouping.build(src, dst), n)
+    # arbitrary in-range signatures: both versions must agree on any state
+    sig_in = rng.integers(0, n, n).astype(np.int64)
+    sig_out = rng.integers(0, n, n).astype(np.int64)
+    for name, frontier in _frontiers(n, rng):
+        idx = incident_edges(indptr, edge_ids, frontier)
+        s, d = src[idx], dst[idx]
+        got = Signatures(sig_in.copy(), sig_out.copy())
+        ref = Signatures(sig_in.copy(), sig_out.copy())
+        changed, work = scatter_round(got, s, d, n, compress=compress)
+        ref_changed, ref_work = _duplicate_endpoint_scatter_round(
+            ref, s, d, n, compress=compress
+        )
+        assert np.array_equal(got.sig_in, ref.sig_in), name
+        assert np.array_equal(got.sig_out, ref.sig_out), name
+        assert np.array_equal(changed, ref_changed), name
+        assert work == ref_work, name
+
+
+def test_frontier_round_neither_sorts_nor_hashes(monkeypatch):
+    """A push round dedups with mark arrays: no np.unique (a hash-then-
+    sort pass on NumPy 2.x) and no sort may come back into it."""
+    g = random_gnm(300, 1500, seed=4)
+    n = g.num_vertices
+    src, dst = g.edges()
+    grouping = EdgeGrouping.build(src, dst)
+    indptr, edge_ids = build_vertex_incidence(grouping, n)
+    state = RoundState(
+        sigs=Signatures.identity(n), grouping=grouping, indptr=indptr,
+        edge_ids=edge_ids, frontier=np.arange(n, dtype=np.int64),
+        num_vertices=n, compress=True,
+    )
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the set routines call numpy's unique internally, not through np.*
+    for name in ("unique", "sort", "argsort", "lexsort", "union1d",
+                 "intersect1d", "setdiff1d", "isin"):
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    dev = VirtualDevice(A100)
+    policy = get_policy("frontier")
+    rounds = 0
+    while state.frontier.size:
+        state.frontier = np.flatnonzero(policy.run_round(state, dev))
+        rounds += 1
+    assert rounds > 1
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
