@@ -23,12 +23,15 @@ Run as ``python -m repro`` (or ``python -m repro.cli``).  Subcommands:
   model transport solve) and report per-ordinate results.
 
 Graph file formats are inferred from the extension (.mtx Matrix Market,
-.txt/.edges edge list, .gr DIMACS) or forced with ``--format``.
+.txt/.edges edge list, .gr DIMACS) or forced with ``--format``.  The
+regression gates the ``--baseline`` runs apply live in
+:mod:`repro.bench.gates`; this module only runs workloads and reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -111,6 +114,132 @@ def _int_list(spec: str) -> "list[int]":
     return values
 
 
+def _float_list(spec: str) -> "list[float]":
+    """argparse type: comma-separated numbers ("1.0,1.3")."""
+    try:
+        return [float(v) for v in spec.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {spec!r}"
+        ) from None
+
+
+def _emit(data, path: str, what: str = "", note: str = "") -> None:
+    """The one output sink for JSON documents and text exports.
+
+    Non-string *data* is rendered as sorted, indented JSON.  For path
+    ``-`` the text goes to stdout; otherwise it is written
+    (newline-terminated) to *path* and a ``<what> written to
+    PATH<note>`` line is printed.
+    """
+    text = data if isinstance(data, str) else json.dumps(
+        data, indent=2, sort_keys=True, default=str
+    )
+    if not text.endswith("\n"):
+        text += "\n"
+    if path == "-":
+        print(text, end="")
+        return
+    Path(path).write_text(text)
+    print(f"{what} written to {path}{note}".lstrip())
+
+
+def _mesh_group(name: str, scale, num_ordinates: int):
+    """The first *num_ordinates* sweep graphs of a named mesh group."""
+    from .mesh.suite import LARGE_MESH_SPECS, SMALL_MESH_SPECS, build_group
+
+    specs = {s.name: s for s in SMALL_MESH_SPECS + LARGE_MESH_SPECS}
+    if name not in specs:
+        raise SystemExit(f"unknown mesh {name!r}; known: {sorted(specs)}")
+    return build_group(specs[name], scale=scale, num_ordinates=num_ordinates)
+
+
+def _smoke_corpus() -> "list[tuple[str, object]]":
+    """The smoke runs' graphs: toroid-hex ordinates 0-1 and flickr/32."""
+    from .graph.suite import powerlaw_suite
+    from .mesh.suite import small_mesh_suite
+
+    graphs: "list[tuple[str, object]]" = [
+        (f"{grp.name}:o{i}", g)
+        for grp in small_mesh_suite(names=["toroid-hex"], num_ordinates=2)
+        for i, g in enumerate(grp.graphs)
+    ]
+    for g, _planted in powerlaw_suite(names=["flickr"], scale=1 / 32):
+        graphs.append((g.name or "flickr", g))
+    return graphs
+
+
+_WORKLOAD_SPECS = "cycle:N | ladder:RUNGS | gnm:N:M | mesh:NAME[:ORD]"
+
+
+def _workload(args: argparse.Namespace):
+    """Resolve a ``workload`` argument (trace/profile/dynamic/chaos).
+
+    Accepts, in order of precedence: an existing graph file, a Table-3
+    power-law name (``flickr``, ``wiki-Talk``, ...), or a generator spec
+    (``cycle:N``, ``ladder:RUNGS``, ``gnm:N:M``, ``mesh:NAME[:ORD]``).
+    """
+    spec = args.workload
+    if Path(spec).exists():
+        return _load_graph(spec, args.format)
+    from .graph.generators import cycle_graph, random_gnm, scc_ladder
+    from .graph.suite import POWER_LAW_SPECS, build_powerlaw
+
+    if spec in {s.name for s in POWER_LAW_SPECS}:
+        graph, _ = build_powerlaw(spec, scale=args.scale, seed=args.seed)
+        return graph
+    kind, _, rest = spec.partition(":")
+    try:
+        if kind == "cycle":
+            return cycle_graph(int(rest))
+        if kind == "ladder":
+            return scc_ladder(int(rest))
+        if kind == "gnm":
+            n, m = rest.split(":")
+            return random_gnm(int(n), int(m), seed=args.seed)
+        if kind == "mesh":
+            name, _, ordn = rest.partition(":")
+            ordinate = int(ordn) if ordn else 0
+            return _mesh_group(name, args.scale, ordinate + 1).graphs[ordinate]
+    except ValueError:
+        pass
+    names = sorted(s.name for s in POWER_LAW_SPECS)
+    raise SystemExit(
+        f"unknown workload {spec!r}: not a file, power-law name"
+        f" ({', '.join(names)}), or generator spec ({_WORKLOAD_SPECS})"
+    )
+
+
+def _print_workload(args: argparse.Namespace, graph, extra: str = "") -> None:
+    print(f"workload:         {args.workload}"
+          f"  (|V|={graph.num_vertices} |E|={graph.num_edges}{extra})")
+
+
+def _traced_run(args: argparse.Namespace, graph, algo: str, meta: dict, **kw):
+    """Run *algo* on *graph* with the command's device/backend/engine
+    flags under a :class:`~repro.trace.Tracer` carrying *meta*;
+    returns ``(result, trace)``."""
+    from .bench import run_algorithm
+    from .trace import Tracer
+
+    tracer = Tracer(meta=meta)
+    result = run_algorithm(
+        graph, algo, _device(args.device),
+        backend=args.backend, engine=args.engine, tracer=tracer, **kw,
+    )
+    return result, tracer.finish()
+
+
+def _run_meta(args: argparse.Namespace, graph) -> dict:
+    return {
+        "algorithm": args.algo,
+        "workload": args.workload,
+        "device": args.device,
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -166,17 +295,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "mesh":
-        from .mesh.suite import LARGE_MESH_SPECS, SMALL_MESH_SPECS, build_group
-
-        specs = {s.name: s for s in SMALL_MESH_SPECS}
-        specs.update({s.name: s for s in LARGE_MESH_SPECS})
-        if args.name not in specs:
-            raise SystemExit(
-                f"unknown mesh {args.name!r}; known: {sorted(specs)}"
-            )
-        grp = build_group(
-            specs[args.name], scale=args.scale, num_ordinates=args.ordinate + 1
-        )
+        grp = _mesh_group(args.name, args.scale, args.ordinate + 1)
         graph = grp.graphs[args.ordinate]
         print(
             f"{args.name} ordinate {args.ordinate}: |V|={graph.num_vertices}"
@@ -203,29 +322,22 @@ def _bench_smoke(args: argparse.Namespace) -> int:
     CI uses it to confirm the engine refactor keeps the accounting live.
 
     With ``--baseline PATH`` the run additionally compares against a
-    previously-written smoke JSON: ``num_sccs`` must match exactly on
-    every shared (algorithm, graph) cell, and ecl-scc ``model_seconds``
-    must not regress by more than ``--tolerance`` (default 5%) on any
-    graph.  A violation prints the offending cells and exits nonzero —
-    the CI bench-regression gate.
+    previously-written smoke JSON through
+    :func:`repro.bench.gates.bench_compare`: ``num_sccs`` must match
+    exactly on every shared (algorithm, graph) cell, and ecl-scc
+    ``model_seconds`` must not regress by more than ``--tolerance``
+    (default 5%) on any graph.  A violation prints the offending cells
+    and exits nonzero — the CI bench-regression gate.
     """
-    import json
-
     from .bench import run_algorithm
-    from .graph.suite import powerlaw_suite
-    from .mesh.suite import small_mesh_suite
+    from .bench.gates import bench_compare
+    from .dynamic import generate_edge_log, replay
     from .profile import profile_run
     from .trace import Tracer
 
     dev = _device(args.device)
-    graphs: "list[tuple[str, object]]" = []
-    for grp in small_mesh_suite(names=["toroid-hex"], num_ordinates=2):
-        graphs.extend(
-            (f"{grp.name}:o{i}", g) for i, g in enumerate(grp.graphs)
-        )
-    for g, _planted in powerlaw_suite(names=["flickr"], scale=1 / 32):
-        graphs.append((g.name or "flickr", g))
-    engine = getattr(args, "engine", None)
+    graphs = _smoke_corpus()
+    engine = args.engine
     rows = []
     for gname, g in graphs:
         for algo in ("ecl-scc", "ispan", "fb"):
@@ -265,8 +377,6 @@ def _bench_smoke(args: argparse.Namespace) -> int:
             rows.append(row)
     # edge-log replay workload: incremental maintenance vs recompute on
     # the power-law graph's event stream (deterministic, seeded)
-    from .dynamic import generate_edge_log, replay
-
     replay_graph_name, replay_graph = graphs[-1]
     log = generate_edge_log(replay_graph, events=120, seed=7)
     for batch_size in (12, 60):
@@ -295,62 +405,15 @@ def _bench_smoke(args: argparse.Namespace) -> int:
         "engine": engine or "default",
         "results": rows,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.json:
-        Path(args.json).write_text(text + "\n")
-        print(f"smoke results written to {args.json} ({len(rows)} cells)")
-    else:
-        print(text)
-    baseline = getattr(args, "baseline", None)
-    if baseline:
-        return _bench_compare(rows, baseline, getattr(args, "tolerance", 0.05))
+    _emit(payload, args.json or "-", "smoke results", f" ({len(rows)} cells)")
+    if args.baseline:
+        return bench_compare(rows, args.baseline, args.tolerance)
     return 0
 
 
 #: engines compared by ``repro bench engines`` (dense "async", static
 #: frontier, and the adaptive per-round scheduler on top of both).
 _ENGINE_MATRIX = ("async", "frontier", "adaptive")
-
-
-def _engine_matrix_failures(
-    rows: "list[dict]", engine_tolerance: float = 0.02
-) -> "list[str]":
-    """Engine-matrix gate over rows carrying an ``engine`` key.
-
-    Two rules, applied per graph: every engine must report the same
-    ``num_sccs`` (engines select *how* to propagate, never *what* is
-    computed), and the adaptive engine's ``model_seconds`` must not
-    exceed the best static engine's by more than *engine_tolerance*
-    (default 2%) — the scheduler pays for its density scans, so it is
-    allowed epsilon, not a free pass.  Returns failure strings (empty
-    on pass); rows without an ``engine`` key are ignored so the gate
-    composes with the smoke rows.
-    """
-    by_graph: "dict[str, dict[str, dict]]" = {}
-    for r in rows:
-        if "engine" in r and "num_sccs" in r:
-            by_graph.setdefault(r["graph"], {})[r["engine"]] = r
-    failures = []
-    for gname, cells in by_graph.items():
-        sccs = {e: r["num_sccs"] for e, r in cells.items()}
-        if len(set(sccs.values())) > 1:
-            failures.append(f"{gname}: num_sccs differs across engines: {sccs}")
-        ad = cells.get("adaptive")
-        static = {
-            e: r["model_seconds"] for e, r in cells.items() if e != "adaptive"
-        }
-        if ad is None or not static:
-            continue
-        best_engine = min(static, key=static.get)
-        best = static[best_engine]
-        if ad["model_seconds"] > best * (1.0 + engine_tolerance):
-            failures.append(
-                f"{gname}: adaptive model_seconds"
-                f" {ad['model_seconds']:.3e}s exceeds best static engine"
-                f" ({best_engine}, {best:.3e}s)"
-                f" by more than +{engine_tolerance:.0%}"
-            )
-    return failures
 
 
 def _bench_engines(args: argparse.Namespace) -> int:
@@ -361,17 +424,17 @@ def _bench_engines(args: argparse.Namespace) -> int:
     the same graphs the test suite's fixtures use), verifies every cell
     against Tarjan, and asserts on the spot that all engines produce
     bit-identical labels per graph.  The gate
-    (:func:`_engine_matrix_failures`) then requires cross-engine
-    ``num_sccs`` agreement and adaptive within ``--engine-tolerance``
-    of the best static engine on every workload.  ``--json`` writes
-    the matrix (the committed ``BENCH_pr7.json`` baseline format);
-    ``--decisions`` dumps the adaptive scheduler's full per-round
-    decision log per graph (the CI artifact); ``--baseline`` compares
-    against a committed matrix with the smoke gate's rules on top.
+    (:func:`repro.bench.gates.engine_matrix_failures`) then requires
+    cross-engine ``num_sccs`` agreement and adaptive within
+    ``--engine-tolerance`` of the best static engine on every workload.
+    ``--json`` writes the matrix (the committed ``BENCH_pr7.json``
+    baseline format); ``--decisions`` dumps the adaptive scheduler's
+    full per-round decision log per graph (the CI artifact);
+    ``--baseline`` compares against a committed matrix with the smoke
+    gate's rules on top.
     """
-    import json
-
     from .bench import run_algorithm
+    from .bench.gates import bench_compare, engine_matrix_failures
     from .graph.suite import engine_corpus
 
     dev = _device(args.device)
@@ -433,26 +496,18 @@ def _bench_engines(args: argparse.Namespace) -> int:
             "engines": list(_ENGINE_MATRIX),
             "results": rows,
         }
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"engine matrix written to {args.json} ({len(rows)} cells)")
-    if getattr(args, "decisions", None):
-        Path(args.decisions).write_text(
-            json.dumps(decision_logs, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"decision logs written to {args.decisions}"
+        _emit(payload, args.json, "engine matrix", f" ({len(rows)} cells)")
+    if args.decisions:
+        _emit(decision_logs, args.decisions, "decision logs",
               f" ({len(decision_logs)} graphs)")
-    tol = getattr(args, "engine_tolerance", 0.02)
-    baseline = getattr(args, "baseline", None)
-    if baseline:
+    tol = args.engine_tolerance
+    if args.baseline:
         # the smoke gate's comparison rules (num_sccs + model_seconds vs
         # the committed matrix) — it folds the engine gate in itself
-        return _bench_compare(
-            rows, baseline, getattr(args, "tolerance", 0.05),
-            engine_tolerance=tol,
+        return bench_compare(
+            rows, args.baseline, args.tolerance, engine_tolerance=tol,
         )
-    failures = _engine_matrix_failures(rows, tol)
+    failures = engine_matrix_failures(rows, tol)
     if failures:
         print("engine-matrix gate: FAIL")
         for f in failures:
@@ -461,213 +516,6 @@ def _bench_engines(args: argparse.Namespace) -> int:
     print(f"engine-matrix gate: pass"
           f" (adaptive within +{tol:.0%} of best static everywhere)")
     return 0
-
-
-def _bench_compare(rows: "list[dict]", baseline: str, tolerance: float,
-                   *, engine_tolerance: float = 0.02) -> int:
-    """Gate the smoke/engine rows against a committed baseline JSON.
-
-    ``num_sccs`` must match exactly on every shared cell (an engine or
-    backend must never change *what* is computed); ecl-scc
-    ``model_seconds`` must not exceed baseline x (1 + tolerance) on any
-    graph.  ``dynamic-replay`` rows must additionally keep incremental
-    maintenance cheaper than full recompute (``model_seconds <
-    recompute_seconds``) — the crossover guarantee of repro.dynamic.
-    Rows carrying an ``engine`` key (the ``bench engines`` matrix) are
-    keyed per engine and additionally pass through
-    :func:`_engine_matrix_failures`: the adaptive engine must stay
-    within *engine_tolerance* of the best static engine on every
-    workload.  Returns 0 on pass, 1 on violation.  Baselines written
-    before the profiling layer (no ``bytes_streamed``/``phases`` keys)
-    still compare; a regression's failure message names the top
-    regressed phase when per-phase data is available on the new side.
-    """
-    import json
-
-    base = json.loads(Path(baseline).read_text())
-    base_rows = {
-        (r["algorithm"], r.get("engine"), r["graph"]): r
-        for r in base["results"]
-    }
-    failures = _engine_matrix_failures(rows, engine_tolerance)
-    failures += _serve_row_failures(rows, base_rows, tolerance)
-    print(f"\ncomparison vs {baseline}"
-          f" (tolerance +{tolerance:.0%} on ecl-scc model_seconds):")
-    print(f"  {'graph':<16s} {'base ms':>9s} {'new ms':>9s} {'ratio':>6s}"
-          f" {'bytes':>6s} {'launches':>13s}")
-    for row in rows:
-        if row["algorithm"] == "serve-bench":
-            continue  # gated by _serve_row_failures (no num_sccs/ms cells)
-        if row["algorithm"] == "dynamic-replay":
-            if row["model_seconds"] >= row["recompute_seconds"]:
-                failures.append(
-                    f"{row['graph']}: incremental updates"
-                    f" ({row['model_seconds']:.3e}s) no longer beat full"
-                    f" recompute ({row['recompute_seconds']:.3e}s)"
-                )
-        key = (row["algorithm"], row.get("engine"), row["graph"])
-        b = base_rows.get(key)
-        if b is None:
-            continue
-        label = row["graph"] + (
-            f"/{row['engine']}" if row.get("engine") else ""
-        )
-        if row["num_sccs"] != b["num_sccs"]:
-            failures.append(
-                f"{label}: num_sccs {row['num_sccs']} !="
-                f" baseline {b['num_sccs']}"
-            )
-        if row["algorithm"] != "ecl-scc":
-            continue
-        # degenerate corpus entries (empty graphs) estimate to 0.0s
-        ratio = (
-            row["model_seconds"] / b["model_seconds"]
-            if b["model_seconds"] else 1.0
-        )
-        byte_ratio = row["bytes_moved"] / max(b.get("bytes_moved", 0), 1)
-        print(f"  {label:<16s} {b['model_seconds'] * 1e3:9.3f}"
-              f" {row['model_seconds'] * 1e3:9.3f} {ratio:6.2f}"
-              f" {byte_ratio:6.2f} {b.get('kernel_launches', 0):>5d} ->"
-              f" {row['kernel_launches']:<5d}")
-        if ratio > 1.0 + tolerance:
-            msg = (
-                f"{label}: model_seconds regressed x{ratio:.3f}"
-                f" (> +{tolerance:.0%})"
-            )
-            top = _top_regressed_phase(row.get("phases"), b.get("phases"))
-            if top:
-                msg += f"; top regressed phase: {top}"
-            failures.append(msg)
-    if failures:
-        print("bench-regression gate: FAIL")
-        for f in failures:
-            print(f"  {f}")
-        return 1
-    print("bench-regression gate: pass")
-    return 0
-
-
-def _serve_row_failures(rows: "list[dict]", base_rows: "dict",
-                        tolerance: float) -> "list[str]":
-    """Gate rules for ``serve-bench`` rows (the serve-smoke artifact).
-
-    Versus the baseline, per scenario: throughput must not drop more
-    than *tolerance* (relative) and the backpressure shed rate must not
-    rise more than *tolerance* (absolute — shed rates are fractions of
-    submitted jobs); a cache-enabled row additionally must *strictly
-    beat* its baseline twin on throughput with no-worse p99 when that
-    baseline predates the cache (the PR9 acceptance gate).  Within the
-    new rows alone, two pair rules must hold: the ``-nobreakers`` crash
-    scenario must show strictly worse p99 latency and shed rate than
-    its ``+breakers`` twin (the breaker win), and a ``-nocache`` twin
-    must show strictly lower throughput at no-better p99 than its
-    cache-enabled scenario (the cache win).
-    """
-    failures: "list[str]" = []
-    serve_rows = [r for r in rows if r["algorithm"] == "serve-bench"]
-    for row in serve_rows:
-        key = (row["algorithm"], row.get("engine"), row["graph"])
-        b = base_rows.get(key)
-        if b is None:
-            continue
-        if row["throughput_jps"] < b["throughput_jps"] * (1.0 - tolerance):
-            failures.append(
-                f"{row['graph']}: serve throughput regressed"
-                f" {b['throughput_jps']:.1f} -> {row['throughput_jps']:.1f}"
-                f" jobs/s (> -{tolerance:.0%})"
-            )
-        if row["shed_rate"] > b["shed_rate"] + tolerance:
-            failures.append(
-                f"{row['graph']}: serve shed rate regressed"
-                f" {b['shed_rate']:.3f} -> {row['shed_rate']:.3f}"
-                f" (> +{tolerance:.2f} absolute)"
-            )
-        if row.get("cache_enabled") and not b.get("cache_enabled"):
-            # a pre-cache baseline: the short-circuit layer must be a
-            # strict improvement on the same workload.  The p99 half
-            # only binds fault-free rows — under an injected fault plan
-            # the cache *completes* jobs the baseline shed, so the two
-            # latency populations are not comparable.
-            if row["throughput_jps"] <= b["throughput_jps"]:
-                failures.append(
-                    f"{row['graph']}: cache win lost vs pre-cache baseline —"
-                    f" throughput {b['throughput_jps']:.1f} ->"
-                    f" {row['throughput_jps']:.1f} jobs/s not strictly up"
-                )
-            p99_b, p99_r = b["p99_ms"], row["p99_ms"]
-            if (row.get("plan") is None and p99_b is not None
-                    and p99_r is not None and p99_r > p99_b):
-                failures.append(
-                    f"{row['graph']}: cache win lost vs pre-cache baseline —"
-                    f" p99 {p99_b:.4f}ms -> {p99_r:.4f}ms worsened"
-                )
-    by_scenario = {r["graph"]: r for r in serve_rows}
-    for name, off_row in by_scenario.items():
-        if not name.endswith("-nocache"):
-            continue
-        on_row = by_scenario.get(name[: -len("-nocache")])
-        if on_row is None or not on_row.get("cache_enabled"):
-            continue
-        if on_row["throughput_jps"] <= off_row["throughput_jps"]:
-            failures.append(
-                f"{name[: -len('-nocache')]}: cache win lost — throughput"
-                f" with cache ({on_row['throughput_jps']:.1f}/s) does not"
-                f" beat without ({off_row['throughput_jps']:.1f}/s)"
-            )
-        p99_on, p99_off = on_row["p99_ms"], off_row["p99_ms"]
-        if p99_on is not None and p99_off is not None and p99_on > p99_off:
-            failures.append(
-                f"{name[: -len('-nocache')]}: cache win lost — p99 with"
-                f" cache ({p99_on:.4f}ms) worse than without"
-                f" ({p99_off:.4f}ms)"
-            )
-    for name, on_row in by_scenario.items():
-        if not name.endswith("+breakers"):
-            continue
-        off_row = by_scenario.get(name[: -len("+breakers")] + "-nobreakers")
-        if off_row is None:
-            continue
-        p99_on, p99_off = on_row["p99_ms"], off_row["p99_ms"]
-        if p99_on is not None and p99_off is not None and p99_off <= p99_on:
-            failures.append(
-                f"{name}: breaker win lost — p99 without breakers"
-                f" ({p99_off:.4f}ms) no longer degrades vs with"
-                f" ({p99_on:.4f}ms)"
-            )
-        if off_row["shed_rate"] <= on_row["shed_rate"]:
-            failures.append(
-                f"{name}: breaker win lost — shed rate without breakers"
-                f" ({off_row['shed_rate']:.3f}) no longer degrades vs with"
-                f" ({on_row['shed_rate']:.3f})"
-            )
-    return failures
-
-
-def _top_regressed_phase(new_phases: "dict | None",
-                         base_phases: "dict | None") -> "str | None":
-    """Name the phase that grew the most between two smoke rows.
-
-    Pre-profiling baselines carry no ``phases``; fall back to the new
-    run's most expensive phase so the gate message still points at the
-    place to look.
-    """
-    if not new_phases:
-        return None
-    if base_phases:
-        deltas = {
-            name: ph["seconds"] - base_phases.get(name, {}).get("seconds", 0.0)
-            for name, ph in new_phases.items()
-        }
-        name = max(deltas, key=lambda k: deltas[k])
-        if deltas[name] <= 0:
-            return None
-        ph = new_phases[name]
-        return (f"{name} (+{deltas[name]:.3e}s,"
-                f" {ph['classification']})")
-    name = max(new_phases, key=lambda k: new_phases[k]["seconds"])
-    ph = new_phases[name]
-    return (f"{name} ({ph['seconds']:.3e}s of the run,"
-            f" {ph['classification']}; baseline has no phase data)")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -729,56 +577,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_workload(args: argparse.Namespace):
-    """Resolve the ``trace`` subcommand's workload argument.
-
-    Accepts, in order of precedence: an existing graph file, a Table-3
-    power-law name (``flickr``, ``wiki-Talk``, ...), or a generator spec
-    (``cycle:N``, ``ladder:RUNGS``, ``gnm:N:M``, ``mesh:NAME[:ORD]``).
-    """
-    spec = args.workload
-    if Path(spec).exists():
-        return _load_graph(spec, args.format)
-    from .graph.generators import cycle_graph, random_gnm, scc_ladder
-    from .graph.suite import POWER_LAW_SPECS, build_powerlaw
-
-    if spec in {s.name for s in POWER_LAW_SPECS}:
-        graph, _ = build_powerlaw(spec, scale=args.scale, seed=args.seed)
-        return graph
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "cycle":
-            return cycle_graph(int(rest))
-        if kind == "ladder":
-            return scc_ladder(int(rest))
-        if kind == "gnm":
-            n, m = rest.split(":")
-            return random_gnm(int(n), int(m), seed=args.seed)
-        if kind == "mesh":
-            from .mesh.suite import LARGE_MESH_SPECS, SMALL_MESH_SPECS, build_group
-
-            name, _, ordn = rest.partition(":")
-            meshes = {s.name: s for s in SMALL_MESH_SPECS}
-            meshes.update({s.name: s for s in LARGE_MESH_SPECS})
-            if name not in meshes:
-                raise SystemExit(
-                    f"unknown mesh {name!r}; known: {sorted(meshes)}"
-                )
-            ordinate = int(ordn) if ordn else 0
-            grp = build_group(
-                meshes[name], scale=args.scale, num_ordinates=ordinate + 1
-            )
-            return grp.graphs[ordinate]
-    except ValueError:
-        pass
-    names = sorted(s.name for s in POWER_LAW_SPECS)
-    raise SystemExit(
-        f"unknown workload {spec!r}: not a file, power-law name"
-        f" ({', '.join(names)}), or generator spec"
-        " (cycle:N | ladder:RUNGS | gnm:N:M | mesh:NAME[:ORD])"
-    )
-
-
 def _trace_diff(args: argparse.Namespace) -> int:
     """``repro trace diff A B``: explain per-phase deltas of two traces."""
     from .profile import diff_traces, render_diff
@@ -800,12 +598,7 @@ def _trace_diff(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     if args.json is not None:
-        text = _json_dumps(diff.to_dict())
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n")
-            print(f"diff written to {args.json}")
+        _emit(diff.to_dict(), args.json, "diff")
         return 0
     print(f"base: {paths[0]}")
     print(f"new:  {paths[1]}")
@@ -813,14 +606,8 @@ def _trace_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_dumps(obj) -> str:
-    import json
-
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .trace import Tracer, dump_jsonl, load_jsonl, render_summary
+    from .trace import dump_jsonl, load_jsonl, render_summary
 
     if args.workload == "diff":
         return _trace_diff(args)
@@ -830,25 +617,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace = load_jsonl(args.load)
         print(render_summary(trace))
         return 0
-    from .bench import run_algorithm
-
-    graph = _trace_workload(args)
-    tracer = Tracer(
-        meta={
-            "algorithm": args.algo,
-            "workload": args.workload,
-            "device": args.device,
-            "num_vertices": graph.num_vertices,
-            "num_edges": graph.num_edges,
-        }
-    )
-    result = run_algorithm(
-        graph, args.algo, _device(args.device),
-        backend=args.backend, engine=args.engine, tracer=tracer,
-    )
-    trace = tracer.finish()
-    print(f"workload:         {args.workload}"
-          f"  (|V|={graph.num_vertices} |E|={graph.num_edges})")
+    graph = _workload(args)
+    result, trace = _traced_run(args, graph, args.algo, _run_meta(args, graph))
+    _print_workload(args, graph)
     print(f"algorithm:        {result.algorithm} on {result.device} (model)")
     print(f"SCCs:             {result.num_sccs}")
     print(f"spans recorded:   {len(trace.spans)}"
@@ -864,52 +635,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Run one algorithm traced and print its per-phase attribution."""
-    from .bench import run_algorithm
     from .profile import profile_run, render_profile, to_prometheus
-    from .trace import Tracer, dump_jsonl
+    from .trace import dump_jsonl
 
-    graph = _trace_workload(args)
+    graph = _workload(args)
     if args.ranks:
         return _profile_distributed(args, graph)
-    meta = {
-        "algorithm": args.algo,
-        "workload": args.workload,
-        "device": args.device,
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-    }
+    meta = _run_meta(args, graph)
     if args.engine:
         meta["engine"] = args.engine
     if args.backend:
         meta["backend"] = args.backend
-    tracer = Tracer(meta=meta)
-    result = run_algorithm(
-        graph, args.algo, _device(args.device),
-        backend=args.backend, engine=args.engine, tracer=tracer,
-    )
-    tracer.finish()
+    result, trace = _traced_run(args, graph, args.algo, meta)
     report = profile_run(result)
     if args.jsonl:
-        dump_jsonl(result.trace, args.jsonl)
+        dump_jsonl(trace, args.jsonl)
         print(f"trace written to {args.jsonl}")
     if args.prom is not None:
-        text = to_prometheus(report)
-        if args.prom == "-":
-            print(text, end="")
-        else:
-            Path(args.prom).write_text(text)
-            print(f"prometheus exposition written to {args.prom}")
+        _emit(to_prometheus(report), args.prom, "prometheus exposition")
         return 0
     if args.json is not None:
-        text = report.to_json()
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n")
-            print(f"profile written to {args.json}")
+        _emit(report.to_dict(), args.json, "profile")
         return 0
-    print(f"workload:         {args.workload}"
-          f"  (|V|={graph.num_vertices} |E|={graph.num_edges})")
+    _print_workload(args, graph)
     print(render_profile(report))
     return 0
 
@@ -919,32 +667,18 @@ def _profile_distributed(args: argparse.Namespace, graph) -> int:
     distributed ECL-SCC run, with the straggler/imbalance summary."""
     from .distributed import block_partition, distributed_ecl_scc
     from .distributed.cluster import ClusterSpec
-    from .errors import DeviceError
     from .profile import profile_cluster, render_cluster_profile
 
-    stragglers = None
-    if args.stragglers:
-        stragglers = tuple(float(f) for f in args.stragglers.split(","))
-    try:
-        spec = ClusterSpec(num_ranks=args.ranks, stragglers=stragglers)
-    except DeviceError as exc:
-        raise SystemExit(f"bad --stragglers: {exc}") from exc
+    spec = ClusterSpec(num_ranks=args.ranks, stragglers=args.stragglers)
     res = distributed_ecl_scc(graph, block_partition(graph, args.ranks), spec)
     prof = profile_cluster(
         res.cluster,
         meta={"workload": args.workload, "algorithm": "distributed-ecl-scc"},
     )
     if args.json is not None:
-        text = _json_dumps(prof.to_dict())
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n")
-            print(f"profile written to {args.json}")
+        _emit(prof.to_dict(), args.json, "profile")
         return 0
-    print(f"workload:         {args.workload}"
-          f"  (|V|={graph.num_vertices} |E|={graph.num_edges},"
-          f" SCCs={res.num_sccs})")
+    _print_workload(args, graph, f", SCCs={res.num_sccs}")
     print(render_cluster_profile(prof))
     return 0
 
@@ -961,7 +695,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     """
     from .dynamic import generate_edge_log, replay
 
-    graph = _trace_workload(args)
+    graph = _workload(args)
     dev = _device(args.device)
     log = generate_edge_log(
         graph, events=args.events, seed=args.seed,
@@ -1000,8 +734,6 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     else:
         print("crossover:  recompute wins at every requested batch size")
     if args.json:
-        import json
-
         payload = {
             "workload": args.workload,
             "device": dev.name,
@@ -1020,10 +752,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"results written to {args.json}")
+        _emit(payload, args.json, "results")
     return 0
 
 
@@ -1056,30 +785,19 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
     estimated-seconds overhead per cell.  CI uses it to confirm fault
     injection and recovery stay live and correctly charged.
     """
-    import json
-
     from .bench import run_algorithm
     from .faults import FaultPlan
-    from .graph.suite import powerlaw_suite
-    from .mesh.suite import small_mesh_suite
 
     dev = _device(args.device)
-    graphs: "list[tuple[str, object]]" = []
-    for grp in small_mesh_suite(names=["toroid-hex"], num_ordinates=2):
-        graphs.extend(
-            (f"{grp.name}:o{i}", g) for i, g in enumerate(grp.graphs)
-        )
-    for g, _planted in powerlaw_suite(names=["flickr"], scale=1 / 32):
-        graphs.append((g.name or "flickr", g))
     plans = [
         ("monotone", FaultPlan.monotone(args.seed)),
         ("chaos", FaultPlan.chaos(args.seed)),
     ]
-    engine = getattr(args, "engine", None)
     rows = []
-    for gname, g in graphs:
+    for gname, g in _smoke_corpus():
         clean = run_algorithm(
-            g, "ecl-scc", dev, backend=args.backend, engine=engine, verify=True
+            g, "ecl-scc", dev, backend=args.backend, engine=args.engine,
+            verify=True,
         )
         rows.append(
             {
@@ -1094,7 +812,7 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
         )
         for pname, plan in plans:
             res = run_algorithm(
-                g, "ecl-scc", dev, backend=args.backend, engine=engine,
+                g, "ecl-scc", dev, backend=args.backend, engine=args.engine,
                 verify=True, faults=plan,
             )
             if pname == "monotone" and not np.array_equal(
@@ -1121,12 +839,7 @@ def _chaos_smoke(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "results": rows,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.json:
-        Path(args.json).write_text(text + "\n")
-        print(f"chaos results written to {args.json} ({len(rows)} cells)")
-    else:
-        print(text)
+    _emit(payload, args.json or "-", "chaos results", f" ({len(rows)} cells)")
     return 0
 
 
@@ -1134,23 +847,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.workload == "smoke":
         return _chaos_smoke(args)
     from .bench import run_algorithm
-    from .trace import Tracer
+    from .trace import dump_jsonl
 
     plan = _chaos_plan(args)
-    graph = _trace_workload(args)
-    tracer = Tracer(meta={"workload": args.workload, "plan": plan.to_dict()})
+    graph = _workload(args)
     clean = run_algorithm(
         graph, "ecl-scc", _device(args.device), backend=args.backend,
         engine=args.engine, verify=True,
     )
-    res = run_algorithm(
-        graph, "ecl-scc", _device(args.device),
-        backend=args.backend, engine=args.engine, verify=True,
-        tracer=tracer, faults=plan,
+    res, trace = _traced_run(
+        args, graph, "ecl-scc",
+        {"workload": args.workload, "plan": plan.to_dict()},
+        verify=True, faults=plan,
     )
     rep = res.fault_report
-    print(f"workload:         {args.workload}"
-          f"  (|V|={graph.num_vertices} |E|={graph.num_edges})")
+    _print_workload(args, graph)
     print(f"plan:             {args.plan} (seed {plan.seed})")
     print(f"status:           {res.status}")
     print(f"SCCs:             {res.num_sccs} (verified against Tarjan)")
@@ -1165,9 +876,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"  (clean {clean.model_seconds:.6f} s,"
           f" overhead x{res.model_seconds / clean.model_seconds:.3f})")
     if args.jsonl:
-        from .trace import dump_jsonl
-
-        dump_jsonl(tracer.finish(), args.jsonl)
+        dump_jsonl(trace, args.jsonl)
         print(f"trace written to  {args.jsonl}")
     return 0
 
@@ -1245,13 +954,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """The serve control-plane bench + chaos harness.
 
     ``bench`` runs the four-scenario matrix (clean, crash with and
-    without breakers, delay), asserts the breaker win, and writes the
-    rows (the CI ``BENCH_pr8.json`` artifact); ``chaos`` drives the
-    service under one fault plan with full verification (terminal
-    states + label bit-identity against unserved solves).
+    without breakers, delay), measures the breaker win, and writes the
+    rows (the CI ``BENCH_pr8.json`` artifact); ``--baseline`` gates
+    them with :func:`repro.bench.gates.bench_compare`.  ``chaos``
+    drives the service under one fault plan with full verification
+    (terminal states + label bit-identity against unserved solves).
     """
-    import json as _json
-
+    from .bench.gates import bench_compare
     from .faults import preset_plan
     from .serve.bench import breaker_comparison, run_serve_bench
 
@@ -1276,10 +985,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             " bit-identical to unserved solves"
         )
         if args.json:
-            Path(args.json).write_text(
-                _json.dumps(row, indent=2, sort_keys=True, default=str) + "\n"
-            )
-            print(f"written to {args.json}")
+            _emit(row, args.json)
         return 0
 
     # bench: the scenario matrix; the breaker win and the cache win are
@@ -1328,12 +1034,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "results": rows,
     }
     if args.json:
-        Path(args.json).write_text(
-            _json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
-        )
-        print(f"written to {args.json}")
+        _emit(doc, args.json)
     if args.baseline:
-        return _bench_compare(rows, args.baseline, args.tolerance)
+        return bench_compare(rows, args.baseline, args.tolerance)
     return 0
 
 
@@ -1360,8 +1063,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     lines); ``slo`` judges a declarative SLO spec against the run and
     exits nonzero on a violated objective — the ``obs-slo`` CI gate.
     """
-    import json as _json
-
     row, obs = _obs_run(args)
     report = obs.report
 
@@ -1392,11 +1093,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 print(f"    alert t={alert['t']:.4f}s"
                       f" {alert['type']}{rate_s} (bad={alert['bad']})")
         if args.json:
-            Path(args.json).write_text(
-                _json.dumps(outcome.as_dict(), indent=2, sort_keys=True)
-                + "\n"
-            )
-            print(f"written to {args.json}")
+            _emit(outcome.as_dict(), args.json)
         print(f"obs-slo gate: {'pass' if outcome.ok else 'FAIL'}")
         return 0 if outcome.ok else 1
 
@@ -1448,11 +1145,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"    {name:<28s} {obs.registry.kind_of(name):<8s}"
               f" points={len(samples):4d} peak={peak:g}")
     if args.json:
-        Path(args.json).write_text(
-            _json.dumps(obs.summary(), indent=2, sort_keys=True,
-                        default=str) + "\n"
-        )
-        print(f"written to {args.json}")
+        _emit(obs.summary(), args.json)
     return 0
 
 
@@ -1470,14 +1163,9 @@ def _cmd_devices(_args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .core import ecl_scc
-    from .mesh.suite import LARGE_MESH_SPECS, SMALL_MESH_SPECS, build_group
     from .sweep import solve_transport_sweep, sweep_schedule
 
-    specs = {s.name: s for s in SMALL_MESH_SPECS}
-    specs.update({s.name: s for s in LARGE_MESH_SPECS})
-    if args.mesh not in specs:
-        raise SystemExit(f"unknown mesh {args.mesh!r}; known: {sorted(specs)}")
-    grp = build_group(specs[args.mesh], scale=args.scale, num_ordinates=args.ordinates)
+    grp = _mesh_group(args.mesh, args.scale, args.ordinates)
     print(f"{args.mesh}: {grp.mesh.num_elements} elements, {args.ordinates} ordinates")
     for i, graph in enumerate(grp.graphs):
         res = ecl_scc(graph)
@@ -1497,8 +1185,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A shared argument group: a help-less parent parser."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _add_workload(p: argparse.ArgumentParser, default: str,
+                  also: str = "") -> None:
+    p.add_argument(
+        "workload", nargs="?", default=default,
+        help=f"graph file, power-law name, or generator spec"
+        f" ({_WORKLOAD_SPECS}){also}; default {default}",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse parser for all subcommands."""
+    """Construct the argparse parser for all subcommands.
+
+    Every flag that more than one subcommand takes is defined once, in
+    a shared parent parser, and inherited through ``parents=``.
+    """
     from .bench.runners import ALGORITHM_NAMES
     from .core.options import ENGINE_NAMES
 
@@ -1506,29 +1212,73 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="ECL-SCC reproduction toolkit (SC '23)",
     )
-    # the registry is the single source of engine names: help text is
-    # derived, never hand-maintained, so new engines list automatically
-    engine_list = " | ".join(ENGINE_NAMES)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # one --seed, defined once, accepted by every subcommand: it seeds
-    # whatever randomness the subcommand has (workload generators, fault
-    # plans, service workloads) and is inert where there is none
-    common = argparse.ArgumentParser(add_help=False)
+    # one --seed, accepted by every subcommand: it seeds whatever
+    # randomness the subcommand has (workload generators, fault plans,
+    # service workloads) and is inert where there is none
+    common = _group()
     common.add_argument(
         "--seed", type=int, default=0,
         help="RNG seed for generators / fault plans / workloads"
         " (default 0)",
     )
+    fmt = _group()
+    fmt.add_argument("--format", default="auto",
+                     choices=["auto", "mtx", "edges", "dimacs", "npz"],
+                     help="graph file format (default: from the extension)")
+    device = _group()
+    device.add_argument("--device", default="A100",
+                        help="device model to estimate against:"
+                        " Titan V | A100 | Ryzen 2950X | Xeon 6226R")
+    scale = _group()
+    scale.add_argument("--scale", type=float, default=None,
+                       help="mesh / power-law workload scale factor")
+    algo = _group()
+    algo.add_argument("--algo", default="ecl-scc", choices=ALGORITHM_NAMES)
+    # the registry is the single source of engine names: help text is
+    # derived, never hand-maintained, so new engines list automatically
+    engine = _group()
+    engine.add_argument("--backend", default=None, choices=_backend_choices(),
+                        help="engine accounting backend (default: dense)")
+    engine.add_argument("--engine", default=None, choices=list(ENGINE_NAMES),
+                        help="ecl-scc Phase-2 engine: "
+                        + " | ".join(ENGINE_NAMES)
+                        + " (default: the command's default)")
+    workload = _group(fmt, scale, device, engine)
+    gate = _group()
+    gate.add_argument("--baseline", default=None,
+                      help="compare against this baseline JSON and gate"
+                      " (see repro.bench.gates)")
+    gate.add_argument("--tolerance", type=float, default=0.05,
+                      help="allowed regression vs --baseline"
+                      " (default 0.05 = 5%%)")
+    serve = _group(engine)
+    serve.add_argument("--jobs", type=int, default=60,
+                       help="jobs in the generated workload (default 60)")
+    serve.add_argument("--graphs", type=int, default=4,
+                       help="named graphs in the Zipf world (default 4)")
+    serve.add_argument("--workers", type=int, default=2,
+                       help="worker pool size (default 2)")
+    serve.add_argument("--queue", type=int, default=8,
+                       help="bounded run-queue capacity (default 8)")
+    serve.add_argument("--utilization", type=float, default=1.5,
+                       help="open-loop arrival rate as a multiple of service"
+                       " capacity (default 1.5 = overload)")
+    serve.add_argument("--no-cache", action="store_true",
+                       help="disable the generation-keyed solve cache")
+    serve.add_argument("--no-coalesce", action="store_true",
+                       help="disable request coalescing (read attach +"
+                       " update merging)")
 
-    p = sub.add_parser("scc", parents=[common],
-                       help="detect SCCs in a graph file")
+    def command(name, func, desc, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=desc)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("scc", _cmd_scc, "detect SCCs in a graph file",
+                algo, fmt, device, engine)
     p.add_argument("graph", help="input graph file (.mtx/.txt/.edges/.gr)")
-    p.add_argument("--algo", default="ecl-scc", choices=ALGORITHM_NAMES)
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
     p.add_argument("--verify", action="store_true",
                    help="check labels against Tarjan (paper §4)")
     p.add_argument("--time", action="store_true",
@@ -1537,32 +1287,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write per-vertex labels to this file")
     p.add_argument("--randomize-ids", action="store_true",
                    help="random internal relabelling (see docs/algorithm.md §6)")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"ecl-scc Phase-2 engine: {engine_list}"
-                   " (default: options default)")
-    p.set_defaults(func=_cmd_scc)
 
-    p = sub.add_parser("stats", parents=[common], help="print SCC statistics of a graph file")
+    p = command("stats", _cmd_stats, "print SCC statistics of a graph file",
+                fmt)
     p.add_argument("graph")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
     p.add_argument("--no-depth", action="store_true",
                    help="skip the (expensive) condensation DAG depth")
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a workload graph")
+    p = command("gen", _cmd_gen, "generate a workload graph", scale)
     p.add_argument("kind", choices=["mesh", "powerlaw"])
     p.add_argument("name", help="mesh group or Table-3 graph name")
     p.add_argument("output", help="output file (.mtx/.txt/.edges/.gr)")
-    p.add_argument("--scale", type=float, default=None)
     p.add_argument("--ordinate", type=int, default=0,
                    help="which ordinate's sweep graph (meshes)")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", parents=[common], help="regenerate a paper table/figure")
+    p = command("bench", _cmd_bench, "regenerate a paper table/figure",
+                device, engine, gate)
     p.add_argument(
         "experiment",
         choices=["table1", "table2", "table3", "table5", "table6", "table7",
@@ -1570,39 +1310,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", default=None,
                    help="(smoke/engines) write results to this JSON file")
-    p.add_argument("--device", default="A100",
-                   help="(smoke/engines) device model to estimate against")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="(smoke/engines) engine accounting backend")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"(smoke) ecl-scc Phase-2 engine: {engine_list}")
-    p.add_argument("--baseline", default=None,
-                   help="(smoke/engines) compare against this baseline JSON"
-                   " and gate: exact num_sccs, bounded ecl-scc"
-                   " model_seconds")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="(smoke/engines) allowed ecl-scc model_seconds"
-                   " regression vs --baseline (default 0.05 = +5%%)")
     p.add_argument("--engine-tolerance", type=float, default=0.02,
                    help="(engines) allowed adaptive overhead vs the best"
                    " static engine (default 0.02 = +2%%)")
     p.add_argument("--decisions", default=None,
                    help="(engines) write the adaptive per-round decision"
                    " logs to this JSON file (the CI artifact)")
-    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser(
-        "trace", parents=[common], help="run one algorithm with the structured tracer"
-    )
-    p.add_argument(
-        "workload",
-        nargs="?",
-        default="ladder:64",
-        help="graph file, power-law name, generator spec"
-        " (cycle:N | ladder:RUNGS | gnm:N:M | mesh:NAME[:ORD]), or"
-        " 'diff' to compare two JSONL traces; default ladder:64",
-    )
+    p = command("trace", _cmd_trace,
+                "run one algorithm with the structured tracer",
+                algo, workload)
+    _add_workload(p, "ladder:64", ", or 'diff' to compare two JSONL traces")
     p.add_argument(
         "diff_paths",
         nargs="*",
@@ -1610,13 +1328,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TRACE",
         help="(diff) the two JSONL traces to compare: BASE NEW",
     )
-    p.add_argument("--algo", default="ecl-scc", choices=ALGORITHM_NAMES)
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="power-law workload scale factor")
     p.add_argument("--jsonl", help="write the trace to this JSONL file")
     p.add_argument("--load",
                    help="summarize an existing JSONL trace instead of running")
@@ -1624,34 +1335,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the span-tree summary")
     p.add_argument("--json", nargs="?", const="-", default=None,
                    help="(diff) write the diff as JSON to PATH (or stdout)")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"ecl-scc Phase-2 engine: {engine_list}"
-                   " (default: options default)")
-    p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser(
-        "profile",
-        parents=[common],
-        help="per-phase time attribution and roofline classification",
-    )
-    p.add_argument(
-        "workload",
-        nargs="?",
-        default="ladder:64",
-        help="graph file, power-law name, or generator spec"
-        " (cycle:N | ladder:RUNGS | gnm:N:M | mesh:NAME[:ORD]);"
-        " default ladder:64",
-    )
-    p.add_argument("--algo", default="ecl-scc", choices=ALGORITHM_NAMES)
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="power-law workload scale factor")
+    p = command("profile", _cmd_profile,
+                "per-phase time attribution and roofline classification",
+                algo, workload)
+    _add_workload(p, "ladder:64")
     p.add_argument("--json", nargs="?", const="-", default=None,
                    help="write the ProfileReport as JSON to PATH (or stdout)")
     p.add_argument("--prom", nargs="?", const="-", default=None,
@@ -1662,87 +1350,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=0,
                    help="distributed mode: per-rank BSP profile of"
                    " distributed ECL-SCC on this many ranks")
-    p.add_argument("--stragglers", default=None,
+    p.add_argument("--stragglers", type=_float_list, default=None,
                    help="(distributed) comma-separated per-rank slowdown"
                    " factors, e.g. 1.0,1.0,1.3,1.0")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"ecl-scc Phase-2 engine: {engine_list}"
-                   " (default: options default)")
-    p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser(
-        "dynamic",
-        parents=[common],
-        help="replay an edge log through the incremental SCC engine",
-    )
-    p.add_argument(
-        "workload",
-        nargs="?",
-        default="gnm:512:2048",
-        help="graph file, power-law name, or generator spec"
-        " (cycle:N | ladder:RUNGS | gnm:N:M | mesh:NAME[:ORD]);"
-        " default gnm:512:2048",
-    )
+    p = command("dynamic", _cmd_dynamic,
+                "replay an edge log through the incremental SCC engine",
+                workload)
+    _add_workload(p, "gnm:512:2048")
     p.add_argument("--events", type=int, default=200,
                    help="edge events to generate (default 200)")
     p.add_argument("--batches", type=_int_list, default=[1, 4, 16, 64],
                    help="comma-separated batch sizes (default 1,4,16,64)")
     p.add_argument("--insert-fraction", type=float, default=0.5,
                    help="fraction of events that insert (default 0.5)")
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="power-law workload scale factor")
     p.add_argument("--verify", action="store_true",
                    help="check every batch's labels against a cold solve")
     p.add_argument("--json", default=None,
                    help="write the crossover table to this JSON file")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None, choices=list(ENGINE_NAMES),
-                   help=f"internal re-solve engine: {engine_list}"
-                   " (default: frontier)")
-    p.set_defaults(func=_cmd_dynamic)
 
-    p = sub.add_parser(
-        "chaos", parents=[common], help="run ECL-SCC under a seeded fault plan"
-    )
-    p.add_argument(
-        "workload",
-        nargs="?",
-        default="smoke",
-        help="'smoke' (3-graph CI matrix), a graph file, power-law name,"
-        " or generator spec (cycle:N | ladder:RUNGS | gnm:N:M);"
-        " default smoke",
-    )
+    p = command("chaos", _cmd_chaos, "run ECL-SCC under a seeded fault plan",
+                workload)
+    _add_workload(p, "smoke", ", or 'smoke' (the 3-graph CI matrix)")
     p.add_argument("--plan", default="chaos",
                    help="'monotone', 'chaos', or a FaultPlan JSON file")
-    p.add_argument("--device", default="A100",
-                   help="Titan V | A100 | Ryzen 2950X | Xeon 6226R")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="power-law workload scale factor")
     p.add_argument("--json", default=None,
                    help="(smoke) write results to this JSON file")
     p.add_argument("--jsonl", help="write the faulted run's trace to JSONL")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"ecl-scc Phase-2 engine: {engine_list}"
-                   " (default: options default)")
-    p.set_defaults(func=_cmd_chaos)
 
-    p = sub.add_parser(
-        "serve", parents=[common],
-        help="SCC-as-a-service control-plane bench + chaos harness",
-    )
+    p = command("serve", _cmd_serve,
+                "SCC-as-a-service control-plane bench + chaos harness",
+                serve, gate)
     p.add_argument(
         "mode", nargs="?", default="bench", choices=["bench", "chaos"],
         help="'bench': Zipf scenario matrix with the breaker-win gate;"
@@ -1751,42 +1389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default="serve-crash",
                    help="(chaos) preset name or FaultPlan JSON file"
                    " (must carry service-layer faults)")
-    p.add_argument("--jobs", type=int, default=60,
-                   help="jobs in the generated workload (default 60)")
-    p.add_argument("--graphs", type=int, default=4,
-                   help="named graphs in the Zipf world (default 4)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker pool size (default 2)")
-    p.add_argument("--queue", type=int, default=8,
-                   help="bounded run-queue capacity (default 8)")
-    p.add_argument("--utilization", type=float, default=1.5,
-                   help="open-loop arrival rate as a multiple of service"
-                   " capacity (default 1.5 = overload)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the generation-keyed solve cache")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable request coalescing (read attach +"
-                   " update merging)")
     p.add_argument("--json", default=None,
                    help="write results to this JSON file")
-    p.add_argument("--baseline", default=None,
-                   help="(bench) compare against this baseline JSON and"
-                   " gate throughput/shed-rate regressions")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="(bench) allowed throughput/shed-rate regression"
-                   " vs --baseline (default 0.05)")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"data-plane Phase-2 engine: {engine_list}")
-    p.set_defaults(func=_cmd_serve)
 
-    p = sub.add_parser(
-        "obs", parents=[common],
-        help="observability pipeline: time series, timelines, Perfetto"
-        " export, SLO gate over a serve run",
-    )
+    p = command("obs", _cmd_obs,
+                "observability pipeline: time series, timelines, Perfetto"
+                " export, SLO gate over a serve run", serve)
     p.add_argument(
         "mode", nargs="?", default="report",
         choices=["report", "export", "slo"],
@@ -1812,45 +1420,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth", type=float, default=1.04,
                    help="histogram bucket growth factor; quantile"
                    " relative error is sqrt(growth)-1 (default 1.04)")
-    p.add_argument("--jobs", type=int, default=60,
-                   help="jobs in the generated workload (default 60)")
-    p.add_argument("--graphs", type=int, default=4,
-                   help="named graphs in the Zipf world (default 4)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker pool size (default 2)")
-    p.add_argument("--queue", type=int, default=8,
-                   help="bounded run-queue capacity (default 8)")
-    p.add_argument("--utilization", type=float, default=1.5,
-                   help="open-loop arrival rate multiple (default 1.5)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the generation-keyed solve cache")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable request coalescing")
     p.add_argument("--json", default=None,
                    help="write the mode's JSON document to this file")
-    p.add_argument("--backend", default=None, choices=_backend_choices(),
-                   help="engine accounting backend (default: dense)")
-    p.add_argument("--engine", default=None,
-                   choices=list(ENGINE_NAMES),
-                   help=f"data-plane Phase-2 engine: {engine_list}")
-    p.set_defaults(func=_cmd_obs)
 
-    p = sub.add_parser("distributed", parents=[common], help="BSP cluster run: ECL vs FB-Trim")
+    p = command("distributed", _cmd_distributed,
+                "BSP cluster run: ECL vs FB-Trim", fmt)
     p.add_argument("graph")
     p.add_argument("--ranks", type=int, default=8)
     p.add_argument("--random-partition", action="store_true")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "mtx", "edges", "dimacs", "npz"])
-    p.set_defaults(func=_cmd_distributed)
 
-    p = sub.add_parser("devices", parents=[common], help="list virtual device models")
-    p.set_defaults(func=_cmd_devices)
+    command("devices", _cmd_devices, "list virtual device models")
 
-    p = sub.add_parser("sweep", parents=[common], help="run the full RTE pipeline on a mesh")
+    p = command("sweep", _cmd_sweep, "run the full RTE pipeline on a mesh",
+                scale)
     p.add_argument("mesh", help="mesh group name (e.g. toroid-hex)")
     p.add_argument("--ordinates", type=int, default=4)
-    p.add_argument("--scale", type=float, default=None)
-    p.set_defaults(func=_cmd_sweep)
 
     return parser
 

@@ -55,6 +55,7 @@ __all__ = [
     "run_serve_bench",
     "verify_report",
     "breaker_comparison",
+    "breaker_win",
 ]
 
 
@@ -439,19 +440,31 @@ def breaker_comparison(
                 scenario=cfg.scenario + "-nobreakers"),
         verify=verify,
     )
+    win = breaker_win(enabled, disabled)
+    if require_win and not win["ok"]:
+        raise AssertionError(
+            "breaker win not observed: disabling breakers should degrade"
+            f" p99 (x{win['p99_degradation']:.3f}) and shed rate"
+            f" (+{win['shed_rate_delta']:.4f})"
+        )
+    return {"enabled": enabled, "disabled": disabled, "breaker_win": win}
+
+
+def breaker_win(enabled: "dict", disabled: "dict") -> "dict[str, Any]":
+    """The breaker-win rule over a breakers-on/off pair of bench rows.
+
+    ``p99_degradation`` is the off/on p99 ratio (infinite when either
+    side completed nothing) and ``shed_rate_delta`` the off-minus-on
+    shed rate; the win holds (``ok``) when both strictly degrade
+    without breakers.  :func:`breaker_comparison` and the serve
+    regression gate (:func:`repro.bench.gates.serve_row_failures`)
+    both judge the pair by this one rule.
+    """
     p99_on, p99_off = enabled["p99_ms"], disabled["p99_ms"]
-    p99_ratio = (
-        p99_off / p99_on if p99_on and p99_off else float("inf")
-    )
+    p99_ratio = p99_off / p99_on if p99_on and p99_off else float("inf")
     shed_delta = disabled["shed_rate"] - enabled["shed_rate"]
-    win = {
+    return {
         "p99_degradation": p99_ratio,
         "shed_rate_delta": shed_delta,
         "ok": p99_ratio > 1.0 and shed_delta > 0.0,
     }
-    if require_win and not win["ok"]:
-        raise AssertionError(
-            "breaker win not observed: disabling breakers should degrade"
-            f" p99 (x{p99_ratio:.3f}) and shed rate (+{shed_delta:.4f})"
-        )
-    return {"enabled": enabled, "disabled": disabled, "breaker_win": win}

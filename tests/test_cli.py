@@ -153,7 +153,7 @@ class TestEngineSelection:
     def test_bench_compare_gate(self, tmp_path, capsys):
         import json
 
-        from repro.cli import _bench_compare
+        from repro.bench.gates import bench_compare as _bench_compare
 
         base = {
             "results": [{

@@ -113,7 +113,7 @@ class TestDistributedCorrectness:
         for g in random_graphs[:6]:
             p = block_partition(g, ranks)
             dense = distributed_ecl_scc(g, p)
-            front = distributed_ecl_scc(g, p, frontier=True)
+            front = distributed_ecl_scc(g, p, engine="frontier")
             assert np.array_equal(front.labels, dense.labels)
             assert front.supersteps == dense.supersteps
             assert front.cluster.total_messages == dense.cluster.total_messages

@@ -368,7 +368,7 @@ class TestBenchQuantiles:
     def test_old_baseline_rows_without_new_keys_still_gate(self):
         """BENCH_pr8/pr9 rows lack p999_ms/quantile_error — the serve
         gate must not require them of the baseline side."""
-        from repro.cli import _serve_row_failures
+        from repro.bench.gates import serve_row_failures as _serve_row_failures
 
         row = run_serve_bench(SMALL)
         old = {k: v for k, v in row.items()

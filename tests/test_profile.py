@@ -485,6 +485,31 @@ class TestProfileCli:
         ]) == 0
         assert "imbalance" in capsys.readouterr().out
 
+    def test_profile_distributed_bad_stragglers_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "cycle:8", "--ranks", "2", "--stragglers", "1,x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --stragglers" in err and "'1,x'" in err
+
+    def test_profile_distributed_bad_ranks_names_ranks(self, capsys):
+        from repro.cli import main
+
+        assert main(["profile", "cycle:8", "--ranks", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: num_ranks must be >= 1")
+        assert "stragglers" not in err
+
+    def test_profile_distributed_straggler_count_mismatch(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "profile", "cycle:8", "--ranks", "2", "--stragglers", "1.0",
+        ]) == 2
+        assert "one factor per rank" in capsys.readouterr().err
+
     def test_trace_diff_cli(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -518,7 +543,7 @@ class TestProfileCli:
             assert "phases" in row
 
     def test_compare_accepts_pre_profiling_baseline(self, tmp_path, capsys):
-        from repro.cli import _bench_compare
+        from repro.bench.gates import bench_compare as _bench_compare
 
         baseline = {
             "results": [
